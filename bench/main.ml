@@ -864,7 +864,7 @@ let write_query_json ~packages ~queries ~indexed_s ~oracle_s ~speedup
    and answers once. Each path runs three times and the best run
    counts, so page-cache warmup noise hits both sides equally.
    Afterwards the mapped index re-answers every benched subset in all
-   three phases and must agree with the heap index bit-for-bit
+   three phases and must agree with the built index bit-for-bit
    (gate: cold max_abs_diff == 0, not 1e-12).
 
    Per-replica memory: N child processes each map the same image,
@@ -1051,7 +1051,7 @@ let run_cold_start (args : args) ~env ~source_key ~subsets =
       decode_answer map_answer;
     exit 1
   end;
-  (* Full agreement sweep: the mapped index must reproduce the heap
+  (* Full agreement sweep: the mapped index must reproduce the built
      index exactly on every benched subset in every phase. *)
   let cold_diff =
     List.fold_left
@@ -1079,7 +1079,7 @@ let run_cold_start (args : args) ~env ~source_key ~subsets =
     "Cold start: image %d bytes\n\
     \  decode+rebuild: %.4fs to first answer\n\
     \  mmap image:     %.4fs to first answer (%.1fx)\n\
-    \  map-vs-heap max |diff| = %.3e over %d subsets x 3 phases\n\
+    \  built-vs-mapped max |diff| = %.3e over %d subsets x 3 phases\n\
     \  replica RSS: %.0f kB mean over %d re-exec'd processes\n%!"
     image_bytes decode_s map_s speedup cold_diff (List.length subsets)
     replica_rss_kb args.replicas;
@@ -1621,7 +1621,7 @@ let run_query_bench (args : args) =
    | Some c ->
      if c.cr_max_abs_diff <> 0.0 then begin
        Printf.eprintf
-         "bench: FAIL: mapped index diverges from the heap index by %.3e \
+         "bench: FAIL: mapped index diverges from the built index by %.3e \
           (must be exactly 0)\n"
          c.cr_max_abs_diff;
        exit 1

@@ -156,23 +156,21 @@ let parse_slice_spec s =
 
 let slice_out_path base (lo, hi) = Printf.sprintf "%s.slice-%d-%d" base lo hi
 
-(* Cut a range-sliced image of [idx] at [out] via write-to-temp +
-   rename: a concurrent reader sees the old file or the new one, never
-   a partial write. The slice keeps the source image's identity. *)
+(* Cut a range-sliced image of [idx] at [out]. [Query.save_image]
+   publishes atomically, so a concurrent reader sees the old file or
+   the new one, never a partial write. The slice keeps the source
+   image's identity. *)
 let cut_slice idx ~range out =
-  let tmp = out ^ ".tmp" in
   (match
      Query.save_image ~seed:(Query.image_seed idx)
-       ~source_key:(Query.image_source_key idx) ~range tmp idx
+       ~source_key:(Query.image_source_key idx) ~range out idx
    with
-   | Ok () -> Sys.rename tmp out
+   | Ok () -> ()
    | Error e ->
-     (try Sys.remove tmp with Sys_error _ -> ());
      Printf.eprintf "lapis: cannot write slice %s: %s\n" out
        (Fmt.str "%a" Snapshot.pp_error e);
      exit 1
    | exception Invalid_argument msg ->
-     (try Sys.remove tmp with Sys_error _ -> ());
      Printf.eprintf "lapis: %s\n" msg;
      exit 2);
   let lo, hi = range in

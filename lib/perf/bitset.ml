@@ -138,98 +138,6 @@ let to_bytes t =
     t;
   Bytes.unsafe_to_string b
 
-(* --- word stores ----------------------------------------------------
-
-   The query index's numeric planes (class rows, package weights,
-   survival products) live behind these two sums so the same hot loops
-   can run over freshly built heap arrays or over a format-4 snapshot
-   image mapped read-only with [Unix.map_file]. A [Bigarray] of kind
-   [int] reads the low 63 bits of each little-endian word on disk —
-   exactly the truncation [Int64.to_int] applies on the copying decode
-   path, so both backends observe identical values bit for bit. *)
-
-type int_ba = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-type float_ba =
-  (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-type words =
-  | Words_heap of int array
-  | Words_map of { wba : int_ba; woff : int; wlen : int }
-
-type floats =
-  | Floats_heap of float array
-  | Floats_map of { fba : float_ba; foff : int; flen : int }
-
-let words_len = function
-  | Words_heap a -> Array.length a
-  | Words_map { wlen; _ } -> wlen
-
-let words_get s i =
-  match s with
-  | Words_heap a -> a.(i)
-  | Words_map { wba; woff; wlen } ->
-    if i < 0 || i >= wlen then invalid_arg "Bitset.words_get: out of range";
-    Bigarray.Array1.get wba (woff + i)
-
-let words_to_array = function
-  | Words_heap a -> Array.copy a
-  | Words_map { wba; woff; wlen } ->
-    Array.init wlen (fun i -> Bigarray.Array1.get wba (woff + i))
-
-let floats_len = function
-  | Floats_heap a -> Array.length a
-  | Floats_map { flen; _ } -> flen
-
-let floats_get s i =
-  match s with
-  | Floats_heap a -> a.(i)
-  | Floats_map { fba; foff; flen } ->
-    if i < 0 || i >= flen then invalid_arg "Bitset.floats_get: out of range";
-    Bigarray.Array1.get fba (foff + i)
-
-let floats_to_array = function
-  | Floats_heap a -> Array.copy a
-  | Floats_map { fba; foff; flen } ->
-    Array.init flen (fun i -> Bigarray.Array1.get fba (foff + i))
-
-(* Contiguous sub-range extraction, for the range-sliced image writer:
-   a slice of a plane materializes only the [len] elements starting at
-   [pos], never the whole plane. *)
-
-let words_sub s pos len =
-  if pos < 0 || len < 0 || pos > words_len s - len then
-    invalid_arg "Bitset.words_sub: out of range";
-  match s with
-  | Words_heap a -> Array.sub a pos len
-  | Words_map { wba; woff; _ } ->
-    Array.init len (fun i -> Bigarray.Array1.get wba (woff + pos + i))
-
-let floats_sub s pos len =
-  if pos < 0 || len < 0 || pos > floats_len s - len then
-    invalid_arg "Bitset.floats_sub: out of range";
-  match s with
-  | Floats_heap a -> Array.sub a pos len
-  | Floats_map { fba; foff; _ } ->
-    Array.init len (fun i -> Bigarray.Array1.get fba (foff + pos + i))
-
-(* Wire layout for the numeric planes: one 8-byte little-endian word
-   per element. Ints are sign-extended from their 63-bit pattern
-   (matching what a mapped int-kind read truncates back to); floats
-   are IEEE-754 bit patterns. *)
-
-let words_to_le (a : int array) : string =
-  let b = Bytes.create (8 * Array.length a) in
-  Array.iteri (fun i w -> Bytes.set_int64_le b (8 * i) (Int64.of_int w)) a;
-  Bytes.unsafe_to_string b
-
-let floats_to_le (a : float array) : string =
-  let b = Bytes.create (8 * Array.length a) in
-  Array.iteri
-    (fun i f -> Bytes.set_int64_le b (8 * i) (Int64.bits_of_float f))
-    a;
-  Bytes.unsafe_to_string b
-
 let of_bytes u s =
   if u < 0 then Error "negative universe"
   else if String.length s <> (u + 7) / 8 then

@@ -1,13 +1,16 @@
-(** Flat fixed-universe bitsets: the packed data plane of the query
-    engine. A bitset over universe size [u] is a [(u + 62) / 63]-word
-    [int array]; membership is one shift and mask, and the set algebra
-    the hot paths need — intersection, union, subset, population count
-    — runs word-wise, so a subset test over a few hundred elements
-    costs a handful of word compares instead of an element-wise scan.
+(** Flat fixed-universe bitsets. A bitset over universe size [u] is a
+    [(u + 62) / 63]-word [int array]; membership is one shift and
+    mask, and the set algebra the hot paths need — intersection,
+    union, subset, population count — runs word-wise, so a subset
+    test over a few hundred elements costs a handful of word compares
+    instead of an element-wise scan.
 
-    Bitsets are mutable but cheap to copy; the query index freezes
-    them after construction and only ever reads them from worker
-    domains, which is safe (plain [int array] reads, no resizing). *)
+    This is only a set type. The query index builds its closure
+    classes from bitsets and copies their words into numeric planes
+    of its own; a query's support set is a bitset whose {!words} the
+    index tests against those planes. Bitsets are mutable but cheap to
+    copy, and reading one from several domains is safe (plain
+    [int array] reads, no resizing). *)
 
 type t
 
@@ -82,56 +85,3 @@ val of_bytes : int -> string -> (t, string) result
 
 val words_for : int -> int
 (** Words backing a universe of the given size: [(u + 62) / 63]. *)
-
-(** {2 Word stores}
-
-    The numeric planes of the query index (class rows, package
-    weights, survival products) are addressed through these two sums
-    so the same hot loops run against freshly built heap arrays or a
-    format-4 snapshot image mapped read-only via
-    [Unix.map_file]/[Bigarray.Array1] — bit-identical in both modes.
-    A mapped int-kind read keeps the low 63 bits of each on-disk
-    little-endian word, the same truncation [Int64.to_int] applies on
-    the copying decode path. The constructors are exposed so hot
-    loops can dispatch once per call and then run monomorphically. *)
-
-type int_ba = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-type float_ba =
-  (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-type words =
-  | Words_heap of int array
-  | Words_map of { wba : int_ba; woff : int; wlen : int }
-      (** [wlen] words starting at element [woff] of [wba] *)
-
-type floats =
-  | Floats_heap of float array
-  | Floats_map of { fba : float_ba; foff : int; flen : int }
-
-val words_len : words -> int
-
-val words_get : words -> int -> int
-(** Bounds-checked element read (both backends). *)
-
-val words_to_array : words -> int array
-(** Materialize to a fresh heap array (both backends). *)
-
-val floats_len : floats -> int
-val floats_get : floats -> int -> float
-val floats_to_array : floats -> float array
-
-val words_sub : words -> int -> int -> int array
-(** [words_sub s pos len] materializes elements [pos .. pos+len-1] to
-    a fresh heap array (both backends) — the range-sliced image
-    writer's plane extractor. Raises [Invalid_argument] out of range. *)
-
-val floats_sub : floats -> int -> int -> float array
-(** Float-plane analogue of {!words_sub}. *)
-
-val words_to_le : int array -> string
-(** 8 bytes per word, little-endian, sign-extended to 64 bits — the
-    format-4 on-disk encoding of an int plane. *)
-
-val floats_to_le : float array -> string
-(** 8 bytes per element, IEEE-754 bit pattern, little-endian. *)

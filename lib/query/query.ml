@@ -71,6 +71,53 @@ type ranked = {
 
 type phase = Init | Serving | All
 
+(* Numeric planes: every per-API and per-package array the hot loops
+   walk is a window of [len] elements starting at element [off] of an
+   int or float64 [Bigarray]. A built index fills its own arrays
+   (offset 0); a loaded image's windows alias the payload words, so
+   saving writes out planes that already exist and loading decodes
+   none of them. An int-kind read keeps the low 63 bits of each
+   little-endian word, which is exactly what the writer's
+   sign-extension round-trips: a built index and the same index saved
+   and mapped read identical values. *)
+type int_ba = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+type float_ba =
+  (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+type ('a, 'k) plane = {
+  ba : ('a, 'k, Bigarray.c_layout) Bigarray.Array1.t;
+  off : int;
+  len : int;
+}
+
+type words = (int, Bigarray.int_elt) plane
+type floats = (float, Bigarray.float64_elt) plane
+
+let whole ba = { ba; off = 0; len = Bigarray.Array1.dim ba }
+
+let new_ints n v : int_ba =
+  let a = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n in
+  Bigarray.Array1.fill a v;
+  a
+
+let new_floats n v : float_ba =
+  let a = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
+  Bigarray.Array1.fill a v;
+  a
+
+let words_of_array a = whole (Bigarray.Array1.of_array Bigarray.int Bigarray.c_layout a)
+
+(* Bounds-checked element reads, for everything outside the two hot
+   loops. *)
+let wget (p : words) i =
+  if i < 0 || i >= p.len then invalid_arg "Query: word plane read out of range";
+  Bigarray.Array1.unsafe_get p.ba (p.off + i)
+
+let fget (p : floats) i =
+  if i < 0 || i >= p.len then invalid_arg "Query: float plane read out of range";
+  Bigarray.Array1.unsafe_get p.ba (p.off + i)
+
 (* Distinct closure classes: SCCs whose closures are equal share one
    class, so a query runs one subset test per *distinct* closure
    (typically fewer than packages), then one gated sweep. Class rows
@@ -85,9 +132,9 @@ type phase = Init | Serving | All
 type class_index = {
   ci_nc : int;  (* distinct closure classes *)
   ci_nw : int;  (* words per class row *)
-  ci_flat : Bitset.words;  (* ci_nc * ci_nw, row-major *)
+  ci_flat : words;  (* ci_nc * ci_nw, row-major *)
   ci_common : int array;  (* ci_nw words: bits required everywhere *)
-  ci_pkg_class : Bitset.words;  (* pkg slice index -> class row *)
+  ci_pkg_class : words;  (* pkg slice index -> class row *)
 }
 
 (* A binary's resolved footprint split by phase — the per-binary data
@@ -104,9 +151,9 @@ type bin_sets = {
    survives construction. Dependent-package lists are flattened into a
    CSR pair ([deps_off]/[deps_dat]); per-binary footprints are kept as
    a lazily decoded array (the bins section of an image is varint-
-   encoded, and the server never asks for it). Numeric planes sit
-   behind {!Bitset.words}/{!Bitset.floats} so a mapped image and a
-   fresh build run the same hot loops. *)
+   encoded, and the server never asks for it). Numeric planes are
+   {!plane} windows, so a mapped image and a fresh build run the same
+   hot loops. *)
 type t = {
   n : int;  (* packages in the whole world, sliced or not *)
   slice_lo : int;  (* per-package planes cover [slice_lo, slice_hi) *)
@@ -116,17 +163,17 @@ type t = {
   meta_source_key : string;
   total_installs : int;
   n_bins : int;
-  probs : Bitset.floats;  (* pkg slice index -> install probability *)
+  probs : floats;  (* pkg slice index -> install probability *)
   names : string array;  (* pkg slice index -> name *)
   api_ids : int Api.Tbl.t;  (* interning: api -> dense id *)
   apis : Api.t array;  (* id -> api *)
-  survival : Bitset.floats;  (* id -> prod(1 - p) over dependents *)
-  survival_init : Bitset.floats;  (* same, over init-phase requirers *)
-  survival_serving : Bitset.floats;
-  dep_count : Bitset.words;  (* id -> number of dependent packages *)
-  elf_count : Bitset.words;  (* id -> packages using it from own ELFs *)
-  deps_off : Bitset.words;  (* id -> offset into deps_dat; n_apis+1 *)
-  deps_dat : Bitset.words;  (* dependent pkg ids, store list order *)
+  survival : floats;  (* id -> prod(1 - p) over dependents *)
+  survival_init : floats;  (* same, over init-phase requirers *)
+  survival_serving : floats;
+  dep_count : words;  (* id -> number of dependent packages *)
+  elf_count : words;  (* id -> packages using it from own ELFs *)
+  deps_off : words;  (* id -> offset into deps_dat; n_apis+1 *)
+  deps_dat : words;  (* dependent pkg ids, store list order *)
   n_comps : int;  (* SCCs of the dependency graph *)
   req : class_index;  (* API universe, whole footprints *)
   sys : class_index;  (* syscall-nr universe, whole footprints *)
@@ -240,17 +287,17 @@ let ranges n =
    values. Shared by the builder and the image loader — both feed it
    the same survival/elf-count planes, so a loaded image reproduces
    the built ranking bit for bit. *)
-let build_ranking ~n ~api_ids ~(survival : Bitset.floats)
-    ~(elf_count : Bitset.words) =
+let build_ranking ~n ~api_ids ~(survival : floats)
+    ~(elf_count : words) =
   let importance_of_nr nr =
     match Api.Tbl.find_opt api_ids (Api.Syscall nr) with
-    | Some id -> 1.0 -. Bitset.floats_get survival id
+    | Some id -> 1.0 -. fget survival id
     | None -> 0.0
   in
   let unweighted_elf_of_nr nr =
     let k =
       match Api.Tbl.find_opt api_ids (Api.Syscall nr) with
-      | Some id -> Bitset.words_get elf_count id
+      | Some id -> wget elf_count id
       | None -> 0
     in
     float_of_int k /. float_of_int n
@@ -277,7 +324,8 @@ let build_ranking ~n ~api_ids ~(survival : Bitset.floats)
 let index ?domains (store : Store.t) : t =
   Stage.time "query:index-build" @@ fun () ->
   let n = store.Store.n_packages in
-  let probs = Array.map (fun p -> p.Store.pr_prob) store.Store.packages in
+  let probs = new_floats n 0.0 in
+  Array.iteri (fun i p -> probs.{i} <- p.Store.pr_prob) store.Store.packages;
   let names = Array.map (fun p -> p.Store.pr_name) store.Store.packages in
   (* Intern every API reachable from any package footprint. Sequential:
      first-seen order defines the dense ids everything below shares. *)
@@ -309,30 +357,28 @@ let index ?domains (store : Store.t) : t =
   let n_apis = !n_apis in
   (* Survival products, folded in the store's dependents order — the
      same multiply sequence as the Importance oracle. Fanned out by
-     API range; each API's product runs whole on one domain, so the
-     merge (a blit per range) is bit-identical to a sequential build. *)
-  let survival = Array.make n_apis 1.0 in
-  let dep_count = Array.make n_apis 0 in
+     API range; each API's product runs whole on one domain, which
+     writes it straight into the shared plane (the ranges are disjoint),
+     so the result is bit-identical to a sequential build. *)
+  let survival_of = List.fold_left (fun acc i -> acc *. (1.0 -. probs.{i})) 1.0 in
+  let survival = new_floats n_apis 1.0 in
+  let dep_count = new_ints n_apis 0 in
   Parmap.map ?domains
     (fun (lo, hi) ->
-      let s = Array.make (hi - lo) 1.0 in
-      let d = Array.make (hi - lo) 0 in
       for id = lo to hi - 1 do
         let deps = Store.dependents store apis.(id) in
-        d.(id - lo) <- List.length deps;
-        s.(id - lo) <-
-          List.fold_left (fun acc i -> acc *. (1.0 -. probs.(i))) 1.0 deps
-      done;
-      (lo, s, d))
+        dep_count.{id} <- List.length deps;
+        survival.{id} <- survival_of deps
+      done)
     (ranges n_apis)
-  |> List.iter (fun (lo, s, d) ->
-         Array.blit s 0 survival lo (Array.length s);
-         Array.blit d 0 dep_count lo (Array.length d));
-  let elf_count = Array.make n_apis 0 in
+  |> ignore;
+  let elf_count = new_ints n_apis 0 in
   Array.iter
     (fun (p : Store.pkg_row) ->
       Api.Set.iter
-        (fun a -> elf_count.(Api.Tbl.find api_ids a) <- elf_count.(Api.Tbl.find api_ids a) + 1)
+        (fun a ->
+          let id = Api.Tbl.find api_ids a in
+          elf_count.{id} <- elf_count.{id} + 1)
         p.Store.pr_apis_elf)
     store.Store.packages;
   (* Phased survival products: the same multiply, restricted to the
@@ -350,9 +396,8 @@ let index ?domains (store : Store.t) : t =
             reqrs.(id) <- i :: reqrs.(id))
           (pick p))
       store.Store.packages;
-    Array.map
-      (List.fold_left (fun acc i -> acc *. (1.0 -. probs.(i))) 1.0)
-      reqrs
+    whole (Bigarray.Array1.init Bigarray.float64 Bigarray.c_layout n_apis
+             (fun id -> survival_of reqrs.(id)))
   in
   let survival_init = phased_survival (fun p -> p.Store.pr_init) in
   let survival_serving = phased_survival (fun p -> p.Store.pr_serving) in
@@ -404,9 +449,9 @@ let index ?domains (store : Store.t) : t =
   let flatten (classes : Bitset.t array) =
     let nc = Array.length classes in
     let nw = if nc = 0 then 0 else Array.length (Bitset.words classes.(0)) in
-    let flat = Array.make (max 1 (nc * nw)) 0 in
+    let flat = new_ints (max 1 (nc * nw)) 0 in
     Array.iteri
-      (fun c b -> Array.blit (Bitset.words b) 0 flat (c * nw) nw)
+      (fun c b -> Array.iteri (fun w x -> flat.{(c * nw) + w} <- x) (Bitset.words b))
       classes;
     let common =
       if nc = 0 then Array.make (max 1 nw) 0
@@ -419,7 +464,7 @@ let index ?domains (store : Store.t) : t =
           common.(i) <- common.(i) land w.(i)
         done)
       classes;
-    (nc, nw, flat, common)
+    (nc, nw, whole flat, common)
   in
   (* One (API-universe, syscall-universe) class-index pair per phase.
      Direct requirement bitsets come from [pick], fanned out by
@@ -478,10 +523,12 @@ let index ?domains (store : Store.t) : t =
       {
         ci_nc = nc;
         ci_nw = nw;
-        ci_flat = Bitset.Words_heap flat;
+        ci_flat = flat;
         ci_common = common;
         ci_pkg_class =
-          Bitset.Words_heap (Array.init n (fun i -> class_of_comp.(comp.(i))));
+          whole
+            (Bigarray.Array1.init Bigarray.int Bigarray.c_layout n (fun i ->
+                 class_of_comp.(comp.(i))));
       }
     in
     (mk class_req req_class_of_comp, mk class_sys sys_class_of_comp)
@@ -489,21 +536,21 @@ let index ?domains (store : Store.t) : t =
   let req_all, sys_all = build_pair (fun p -> p.Store.pr_apis) in
   let req_init, sys_init = build_pair (fun p -> p.Store.pr_init) in
   let req_serving, sys_serving = build_pair (fun p -> p.Store.pr_serving) in
-  let den = Array.fold_left (fun a p -> a +. p) 0.0 probs in
+  let den = ref 0.0 in
+  for i = 0 to n - 1 do
+    den := !den +. probs.{i}
+  done;
   (* Flatten the dependents lists into CSR form, preserving the
      store's list order exactly (it defines the survival fold order
      and the [dependents_ranked] pre-sort input). *)
-  let deps_off = Array.make (n_apis + 1) 0 in
+  let deps_off = new_ints (n_apis + 1) 0 in
   for id = 0 to n_apis - 1 do
-    deps_off.(id + 1) <- deps_off.(id) + dep_count.(id)
+    deps_off.{id + 1} <- deps_off.{id} + dep_count.{id}
   done;
-  let deps_dat = Array.make deps_off.(n_apis) 0 in
+  let deps_dat = new_ints deps_off.{n_apis} 0 in
   for id = 0 to n_apis - 1 do
-    let k = ref deps_off.(id) in
-    List.iter
-      (fun i ->
-        deps_dat.(!k) <- i;
-        incr k)
+    List.iteri
+      (fun k i -> deps_dat.{deps_off.{id} + k} <- i)
       (Store.dependents store apis.(id))
   done;
   let bin_rows =
@@ -517,8 +564,8 @@ let index ?domains (store : Store.t) : t =
            })
     |> Array.of_list
   in
-  let survival = Bitset.Floats_heap survival in
-  let elf_count = Bitset.Words_heap elf_count in
+  let survival = whole survival in
+  let elf_count = whole elf_count in
   let ranking = build_ranking ~n ~api_ids ~survival ~elf_count in
   {
     n;
@@ -529,17 +576,17 @@ let index ?domains (store : Store.t) : t =
     meta_source_key = "";
     total_installs = store.Store.total_installs;
     n_bins = Array.length bin_rows;
-    probs = Bitset.Floats_heap probs;
+    probs = whole probs;
     names;
     api_ids;
     apis;
     survival;
-    survival_init = Bitset.Floats_heap survival_init;
-    survival_serving = Bitset.Floats_heap survival_serving;
-    dep_count = Bitset.Words_heap dep_count;
+    survival_init;
+    survival_serving;
+    dep_count = whole dep_count;
     elf_count;
-    deps_off = Bitset.Words_heap deps_off;
-    deps_dat = Bitset.Words_heap deps_dat;
+    deps_off = whole deps_off;
+    deps_dat = whole deps_dat;
     n_comps;
     req = req_all;
     sys = sys_all;
@@ -549,7 +596,7 @@ let index ?domains (store : Store.t) : t =
     sys_serving;
     max_nr;
     ranking;
-    den;
+    den = !den;
     bins = Lazy.from_val (Ok bin_rows);
   }
 
@@ -584,7 +631,7 @@ let survival_array t = function
 
 let survival ?(phase = All) t api =
   match Api.Tbl.find_opt t.api_ids api with
-  | Some id -> Bitset.floats_get (survival_array t phase) id
+  | Some id -> fget (survival_array t phase) id
   | None -> 1.0
 
 let importance ?phase t api = 1.0 -. survival ?phase t api
@@ -592,7 +639,7 @@ let importance ?phase t api = 1.0 -. survival ?phase t api
 let unweighted t api =
   let k =
     match Api.Tbl.find_opt t.api_ids api with
-    | Some id -> Bitset.words_get t.dep_count id
+    | Some id -> wget t.dep_count id
     | None -> 0
   in
   float_of_int k /. float_of_int t.n
@@ -600,7 +647,7 @@ let unweighted t api =
 let unweighted_elf t api =
   let k =
     match Api.Tbl.find_opt t.api_ids api with
-    | Some id -> Bitset.words_get t.elf_count id
+    | Some id -> wget t.elf_count id
     | None -> 0
   in
   float_of_int k /. float_of_int t.n
@@ -617,9 +664,9 @@ let dependents_ranked ?limit t api =
     match Api.Tbl.find_opt t.api_ids api with
     | None -> []
     | Some id ->
-      let lo = Bitset.words_get t.deps_off id in
-      let hi = Bitset.words_get t.deps_off (id + 1) in
-      List.init (hi - lo) (fun k -> Bitset.words_get t.deps_dat (lo + k))
+      let lo = wget t.deps_off id in
+      let hi = wget t.deps_off (id + 1) in
+      List.init (hi - lo) (fun k -> wget t.deps_dat (lo + k))
   in
   (* A slice's deps data only holds ids inside [slice_lo, slice_hi),
      so on a full index the subtraction is the identity. *)
@@ -627,7 +674,7 @@ let dependents_ranked ?limit t api =
     ids
     |> List.map (fun i ->
            let k = i - t.slice_lo in
-           (t.names.(k), Bitset.floats_get t.probs k))
+           (t.names.(k), fget t.probs k))
     |> List.sort (fun (na, pa) (nb, pb) ->
            match compare pb pa with 0 -> compare na nb | c -> c)
   in
@@ -674,11 +721,9 @@ let core_gate (common : int array) (supw : int array) =
    touching the class rows or the package sweep (bit-exact:
    [0.0 /. den] is [0.0] for every positive [den], as is the
    [den = 0.0] guard). Past the gate, the rows are walked in one flat
-   plane — a heap array on a fresh build, a mapped [Bigarray] slice on
-   a loaded image; the backend is matched once per call, so both loops
-   run monomorphically. The [unsafe_get]s are in bounds by
-   construction and by load-time validation ([flat] has [nc * nw]
-   words inside the mapping, [supw] has [nw]). Every call allocates
+   plane. The [unsafe_get]s are in bounds by construction and by
+   load-time validation ([flat] has [nc * nw] words inside its
+   [Bigarray], [supw] has [nw]). Every call allocates
    its own flags, so evaluation is safe from any number of domains
    against one shared index. *)
 let classes_ok ci (supw : int array) =
@@ -687,41 +732,23 @@ let classes_ok ci (supw : int array) =
     let nc = ci.ci_nc and nw = ci.ci_nw in
     let ok = Array.make (max 1 nc) false in
     let any = ref false in
-    (match ci.ci_flat with
-    | Bitset.Words_heap flat ->
-      for c = 0 to nc - 1 do
-        let base = c * nw in
-        let i = ref 0 in
-        while
-          !i < nw
-          && Array.unsafe_get flat (base + !i)
-             land lnot (Array.unsafe_get supw !i)
-             = 0
-        do
-          incr i
-        done;
-        if !i = nw then begin
-          ok.(c) <- true;
-          any := true
-        end
-      done
-    | Bitset.Words_map { wba; woff; _ } ->
-      for c = 0 to nc - 1 do
-        let base = woff + (c * nw) in
-        let i = ref 0 in
-        while
-          !i < nw
-          && Bigarray.Array1.unsafe_get wba (base + !i)
-             land lnot (Array.unsafe_get supw !i)
-             = 0
-        do
-          incr i
-        done;
-        if !i = nw then begin
-          ok.(c) <- true;
-          any := true
-        end
-      done);
+    let flat = ci.ci_flat in
+    for c = 0 to nc - 1 do
+      let base = flat.off + (c * nw) in
+      let i = ref 0 in
+      while
+        !i < nw
+        && Bigarray.Array1.unsafe_get flat.ba (base + !i)
+           land lnot (Array.unsafe_get supw !i)
+           = 0
+      do
+        incr i
+      done;
+      if !i = nw then begin
+        ok.(c) <- true;
+        any := true
+      end
+    done;
     if !any then Some ok else None
   end
 
@@ -732,26 +759,17 @@ let classes_ok ci (supw : int array) =
    the slice and plane reads shift by [slice_lo], so the surviving
    elements are visited in the same order with the same values as the
    full image — partial sums over in-slice ranges are bit-identical.
-   Matched once on the backing pair; the common case is both planes
-   heap or both mapped. *)
+   Both planes hold [slice_hi - slice_lo] elements, so the unchecked
+   reads stay in bounds. *)
 let sweep_range t (ok : bool array) ci lo hi =
   let lo = max lo t.slice_lo and hi = min hi t.slice_hi in
   let base = t.slice_lo in
+  let pc = ci.ci_pkg_class and pr = t.probs in
   let num = ref 0.0 in
-  (match (ci.ci_pkg_class, t.probs) with
-  | Bitset.Words_heap pc, Bitset.Floats_heap pr ->
-    for i = lo - base to hi - 1 - base do
-      if ok.(pc.(i)) then num := !num +. pr.(i)
-    done
-  | Bitset.Words_map { wba; woff; _ }, Bitset.Floats_map { fba; foff; _ } ->
-    for i = lo - base to hi - 1 - base do
-      if ok.(Bigarray.Array1.unsafe_get wba (woff + i)) then
-        num := !num +. Bigarray.Array1.unsafe_get fba (foff + i)
-    done
-  | pc, pr ->
-    for i = lo - base to hi - 1 - base do
-      if ok.(Bitset.words_get pc i) then num := !num +. Bitset.floats_get pr i
-    done);
+  for i = lo - base to hi - 1 - base do
+    if ok.(Bigarray.Array1.unsafe_get pc.ba (pc.off + i)) then
+      num := !num +. Bigarray.Array1.unsafe_get pr.ba (pr.off + i)
+  done;
   !num
 
 let sweep t (ok : bool array) ci =
@@ -1032,6 +1050,30 @@ let bins_section t (rows : bin_sets array) =
     triples;
   Buffer.contents b
 
+(* A section body: varint-encoded bytes, or a numeric plane encoded
+   straight from its window — 8 bytes per element, little-endian, ints
+   sign-extended from their 63-bit pattern (what an int-kind mapped
+   read truncates back to), floats as IEEE-754 bit patterns. *)
+type body = Raw of string | Words of words | Floats of floats
+
+let body_len = function
+  | Raw s -> String.length s
+  | Words p -> 8 * p.len
+  | Floats p -> 8 * p.len
+
+let write_body img pos = function
+  | Raw s -> Bytes.blit_string s 0 img pos (String.length s)
+  | Words p ->
+    for i = 0 to p.len - 1 do
+      Bytes.set_int64_le img (pos + (8 * i))
+        (Int64.of_int (Bigarray.Array1.unsafe_get p.ba (p.off + i)))
+    done
+  | Floats p ->
+    for i = 0 to p.len - 1 do
+      Bytes.set_int64_le img (pos + (8 * i))
+        (Int64.bits_of_float (Bigarray.Array1.unsafe_get p.ba (p.off + i)))
+    done
+
 let to_image_string ?(seed = 0) ?(source_key = "") ?range t =
   match Lazy.force t.bins with
   | Error e -> Error e
@@ -1058,58 +1100,47 @@ let to_image_string ?(seed = 0) ?(source_key = "") ?range t =
     let np = hi - lo in
     let base = lo - t.slice_lo in
     let rows = if full then rows else [||] in
-    let wsec w = Bitset.words_to_le (Bitset.words_to_array w) in
-    let fsec f = Bitset.floats_to_le (Bitset.floats_to_array f) in
+    let window p = { p with off = p.off + base; len = np } in
     (* Dependents CSR restricted to packages in range: per-API segments
        keep their relative order (global package ids), offsets
-       recomputed over the kept entries. On the full range this is a
-       copy. *)
-    let deps_off_s, deps_dat_s =
-      if full then (wsec t.deps_off, wsec t.deps_dat)
+       recomputed over the kept entries. *)
+    let deps_off, deps_dat =
+      if full then (t.deps_off, t.deps_dat)
       else begin
         let n_apis = Array.length t.apis in
-        let off = Array.make (n_apis + 1) 0 in
+        let in_range k =
+          let v = wget t.deps_dat k in
+          v >= lo && v < hi
+        in
+        let off = new_ints (n_apis + 1) 0 in
         for id = 0 to n_apis - 1 do
-          let s = Bitset.words_get t.deps_off id in
-          let e = Bitset.words_get t.deps_off (id + 1) in
           let c = ref 0 in
-          for k = s to e - 1 do
-            let v = Bitset.words_get t.deps_dat k in
-            if v >= lo && v < hi then incr c
+          for k = wget t.deps_off id to wget t.deps_off (id + 1) - 1 do
+            if in_range k then incr c
           done;
-          off.(id + 1) <- off.(id) + !c
+          off.{id + 1} <- off.{id} + !c
         done;
-        let dat = Array.make off.(n_apis) 0 in
+        let dat = new_ints off.{n_apis} 0 in
         let w = ref 0 in
-        for id = 0 to n_apis - 1 do
-          let s = Bitset.words_get t.deps_off id in
-          let e = Bitset.words_get t.deps_off (id + 1) in
-          for k = s to e - 1 do
-            let v = Bitset.words_get t.deps_dat k in
-            if v >= lo && v < hi then begin
-              dat.(!w) <- v;
-              incr w
-            end
-          done
+        for k = 0 to t.deps_dat.len - 1 do
+          if in_range k then begin
+            dat.{!w} <- wget t.deps_dat k;
+            incr w
+          end
         done;
-        (Bitset.words_to_le off, Bitset.words_to_le dat)
+        (whole off, whole dat)
       end
     in
-    (* (nc, nw, flat body, common body, pkg_class body) per class
-       plane. An empty kept set (possible on an empty range) writes the
-       loader's zero-class convention: dims (0, 0), one zero word of
-       flat and of common. *)
+    (* (nc, nw, flat, common, pkg_class) per class plane. An empty kept
+       set (possible on an empty range) writes the loader's zero-class
+       convention: dims (0, 0), one zero word of flat and of common. *)
     let slice_class ci =
-      if full then
-        ( ci.ci_nc,
-          ci.ci_nw,
-          wsec ci.ci_flat,
-          Bitset.words_to_le ci.ci_common,
-          Bitset.words_to_le (Bitset.words_sub ci.ci_pkg_class base np) )
+      let common = words_of_array ci.ci_common in
+      if full then (ci.ci_nc, ci.ci_nw, ci.ci_flat, common, window ci.ci_pkg_class)
       else begin
         let used = Array.make (max 1 ci.ci_nc) false in
         for i = base to base + np - 1 do
-          used.(Bitset.words_get ci.ci_pkg_class i) <- true
+          used.(wget ci.ci_pkg_class i) <- true
         done;
         let remap = Array.make (max 1 ci.ci_nc) (-1) in
         let kept = ref 0 in
@@ -1119,31 +1150,22 @@ let to_image_string ?(seed = 0) ?(source_key = "") ?range t =
             incr kept
           end
         done;
-        let kept = !kept in
+        let kept = !kept and nw = ci.ci_nw in
         if kept = 0 then
-          ( 0,
-            0,
-            Bitset.words_to_le [| 0 |],
-            Bitset.words_to_le [| 0 |],
-            Bitset.words_to_le [||] )
+          (0, 0, words_of_array [| 0 |], words_of_array [| 0 |], words_of_array [||])
         else begin
-          let flat = Array.make (kept * ci.ci_nw) 0 in
+          let flat = new_ints (kept * nw) 0 in
           for c = 0 to ci.ci_nc - 1 do
             if used.(c) then
-              for w = 0 to ci.ci_nw - 1 do
-                flat.((remap.(c) * ci.ci_nw) + w) <-
-                  Bitset.words_get ci.ci_flat ((c * ci.ci_nw) + w)
+              for w = 0 to nw - 1 do
+                flat.{(remap.(c) * nw) + w} <- wget ci.ci_flat ((c * nw) + w)
               done
           done;
           let pkg_class =
-            Array.init np (fun i ->
-                remap.(Bitset.words_get ci.ci_pkg_class (base + i)))
+            Bigarray.Array1.init Bigarray.int Bigarray.c_layout np (fun i ->
+                remap.(wget ci.ci_pkg_class (base + i)))
           in
-          ( kept,
-            ci.ci_nw,
-            Bitset.words_to_le flat,
-            Bitset.words_to_le ci.ci_common,
-            Bitset.words_to_le pkg_class )
+          (kept, nw, whole flat, common, whole pkg_class)
         end
       end
     in
@@ -1154,25 +1176,26 @@ let to_image_string ?(seed = 0) ?(source_key = "") ?range t =
     let sections =
       [
         (sec_meta,
-         meta_section t ~seed ~source_key ~lo ~hi ~class_dims
-           ~n_bins:(Array.length rows));
-        (sec_probs, Bitset.floats_to_le (Bitset.floats_sub t.probs base np));
-        (sec_survival, fsec t.survival);
-        (sec_survival + 1, fsec t.survival_init);
-        (sec_survival + 2, fsec t.survival_serving);
-        (sec_dep_count, wsec t.dep_count);
-        (sec_elf_count, wsec t.elf_count);
-        (sec_deps_off, deps_off_s);
-        (sec_deps_dat, deps_dat_s);
-        (sec_bins, bins_section t rows);
+         Raw
+           (meta_section t ~seed ~source_key ~lo ~hi ~class_dims
+              ~n_bins:(Array.length rows)));
+        (sec_probs, Floats (window t.probs));
+        (sec_survival, Floats t.survival);
+        (sec_survival + 1, Floats t.survival_init);
+        (sec_survival + 2, Floats t.survival_serving);
+        (sec_dep_count, Words t.dep_count);
+        (sec_elf_count, Words t.elf_count);
+        (sec_deps_off, Words deps_off);
+        (sec_deps_dat, Words deps_dat);
+        (sec_bins, Raw (bins_section t rows));
       ]
       @ List.concat
           (List.mapi
              (fun k (_, _, flat, common, pkg_class) ->
                [
-                 (sec_class_base + (3 * k), flat);
-                 (sec_class_base + (3 * k) + 1, common);
-                 (sec_class_base + (3 * k) + 2, pkg_class);
+                 (sec_class_base + (3 * k), Words flat);
+                 (sec_class_base + (3 * k) + 1, Words common);
+                 (sec_class_base + (3 * k) + 2, Words pkg_class);
                ])
              classes)
     in
@@ -1182,49 +1205,54 @@ let to_image_string ?(seed = 0) ?(source_key = "") ?range t =
     let entries, payload_len =
       List.fold_left
         (fun (acc, off) (id, body) ->
-          ((id, off, String.length body) :: acc, off + pad8 (String.length body)))
+          let len = body_len body in
+          ((id, off, len) :: acc, off + pad8 len))
         ([], table_bytes) sections
     in
     let entries = List.rev entries in
-    let payload = Bytes.make payload_len '\000' in
-    Bytes.set_int64_le payload 0 (Int64.of_int image_probe);
-    Bytes.set_int64_le payload 8 (Int64.of_int n_sections);
+    (* Header and payload share one buffer; the payload is written in
+       place and digested there. *)
+    let img = Bytes.make (image_header_len + payload_len) '\000' in
+    let p0 = image_header_len in
+    Bytes.set_int64_le img p0 (Int64.of_int image_probe);
+    Bytes.set_int64_le img (p0 + 8) (Int64.of_int n_sections);
     List.iteri
       (fun i (id, off, len) ->
-        let base = 16 + (24 * i) in
-        Bytes.set_int64_le payload base (Int64.of_int id);
-        Bytes.set_int64_le payload (base + 8) (Int64.of_int off);
-        Bytes.set_int64_le payload (base + 16) (Int64.of_int len))
+        let at = p0 + 16 + (24 * i) in
+        Bytes.set_int64_le img at (Int64.of_int id);
+        Bytes.set_int64_le img (at + 8) (Int64.of_int off);
+        Bytes.set_int64_le img (at + 16) (Int64.of_int len))
       entries;
     List.iter2
-      (fun (_, body) (_, off, _) ->
-        Bytes.blit_string body 0 payload off (String.length body))
+      (fun (_, body) (_, off, _) -> write_body img (p0 + off) body)
       sections entries;
-    let payload = Bytes.unsafe_to_string payload in
-    let out = Buffer.create (image_header_len + payload_len) in
-    Buffer.add_string out Snapshot.magic;
-    let scratch = Bytes.create 8 in
-    Bytes.set_int32_le scratch 0 (Int32.of_int image_version);
-    Buffer.add_subbytes out scratch 0 4;
-    Buffer.add_string out (Digest.string payload);
-    Bytes.set_int64_le scratch 0 (Int64.of_int payload_len);
-    Buffer.add_bytes out scratch;
-    Buffer.add_string out "\000\000\000\000";
-    Buffer.add_string out payload;
-    Ok (Buffer.contents out)
+    Bytes.blit_string Snapshot.magic 0 img 0 (String.length Snapshot.magic);
+    Bytes.set_int32_le img 8 (Int32.of_int image_version);
+    Bytes.blit_string (Digest.subbytes img p0 payload_len) 0 img 12 16;
+    Bytes.set_int64_le img 28 (Int64.of_int payload_len);
+    Ok (Bytes.unsafe_to_string img)
 
+(* Publishing is atomic: the image goes to a temp file in the target
+   directory, which is then renamed over [path]. A process that has the
+   old file mapped keeps reading the old inode; truncating it in place
+   would hand that process new bytes under offsets validated against
+   the old image, or SIGBUS past the new end of file. *)
 let save_image ?seed ?source_key ?range path t =
   match to_image_string ?seed ?source_key ?range t with
   | Error e -> Error e
   | Ok s -> (
+    let tmp = Printf.sprintf "%s.tmp-%d" path (Unix.getpid ()) in
     match
-      let oc = open_out_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc s)
+      Out_channel.with_open_bin tmp (fun oc ->
+          output_string oc s;
+          (* a failed final flush must stop the rename *)
+          close_out oc);
+      Sys.rename tmp path
     with
     | () -> Ok ()
-    | exception Sys_error msg -> Error (Snapshot.Io msg))
+    | exception Sys_error msg ->
+      (try Sys.remove tmp with Sys_error _ -> ());
+      Error (Snapshot.Io msg))
 
 (* --- loader ------------------------------------------------------- *)
 
@@ -1234,8 +1262,8 @@ let save_image ?seed ?source_key ?range path t =
    sections slice into. Byte offset [8k] is element [k] of either. *)
 type image_source = {
   img_read : int -> int -> string;
-  img_iba : Bitset.int_ba;
-  img_fba : Bitset.float_ba;
+  img_iba : int_ba;
+  img_fba : float_ba;
   img_len : int;
 }
 
@@ -1377,13 +1405,13 @@ let load_image_src (src : image_source) : t =
     let off, len = find id what in
     if len <> 8 * count then
       corrupt "image: %s section is %d bytes, expected %d" what len (8 * count);
-    Bitset.Words_map { wba = src.img_iba; woff = off / 8; wlen = count }
+    { ba = src.img_iba; off = off / 8; len = count }
   in
   let floats_sec id what count =
     let off, len = find id what in
     if len <> 8 * count then
       corrupt "image: %s section is %d bytes, expected %d" what len (8 * count);
-    Bitset.Floats_map { fba = src.img_fba; foff = off / 8; flen = count }
+    { ba = src.img_fba; off = off / 8; len = count }
   in
   let probs = floats_sec sec_probs "probs" np in
   let survival = floats_sec sec_survival "survival" n_apis in
@@ -1397,19 +1425,17 @@ let load_image_src (src : image_source) : t =
   let doff, dlen = find sec_deps_dat "deps-data" in
   if dlen land 7 <> 0 then corrupt "image: deps-data length not 8-aligned";
   let deps_total = dlen / 8 in
-  let deps_dat =
-    Bitset.Words_map { wba = src.img_iba; woff = doff / 8; wlen = deps_total }
-  in
-  if Bitset.words_get deps_off 0 <> 0 then
+  let deps_dat = { ba = src.img_iba; off = doff / 8; len = deps_total } in
+  if wget deps_off 0 <> 0 then
     corrupt "image: deps offsets must start at 0";
   for id = 0 to n_apis - 1 do
-    if Bitset.words_get deps_off (id + 1) < Bitset.words_get deps_off id then
+    if wget deps_off (id + 1) < wget deps_off id then
       corrupt "image: deps offsets not monotone"
   done;
-  if Bitset.words_get deps_off n_apis <> deps_total then
+  if wget deps_off n_apis <> deps_total then
     corrupt "image: deps offsets disagree with deps-data length";
   for k = 0 to deps_total - 1 do
-    let v = Bitset.words_get deps_dat k in
+    let v = wget deps_dat k in
     if v < slice_lo || v >= slice_hi then
       corrupt "image: dependent package id %d outside slice %d:%d" v slice_lo
         slice_hi
@@ -1438,7 +1464,7 @@ let load_image_src (src : image_source) : t =
     in
     let pkg_class = words_sec (sec_class_base + (3 * k) + 2) "class-map" np in
     for i = 0 to np - 1 do
-      let v = Bitset.words_get pkg_class i in
+      let v = wget pkg_class i in
       if v < 0 || v >= nc then corrupt "image: package class %d of %d" v nc
     done;
     { ci_nc = nc; ci_nw = nw; ci_flat = flat; ci_common = common; ci_pkg_class = pkg_class }
@@ -1488,7 +1514,7 @@ let load_image_src (src : image_source) : t =
     bins;
   }
 
-let check_header ~what ~len ~read_prefix =
+let check_header ~len ~read_prefix =
   let prefix = read_prefix (min image_header_len len) in
   let mlen = min 8 (String.length prefix) in
   if String.sub prefix 0 mlen <> String.sub Snapshot.magic 0 mlen then
@@ -1502,13 +1528,12 @@ let check_header ~what ~len ~read_prefix =
     fail (Snapshot.Truncated "payload");
   if image_header_len + payload_len < len then
     corrupt "image: %d trailing bytes after the payload" (len - image_header_len - payload_len);
-  ignore what;
   (digest, payload_len)
 
 let of_image ?(verify = true) (s : string) =
   try
     let digest, payload_len =
-      check_header ~what:"image" ~len:(String.length s)
+      check_header ~len:(String.length s)
         ~read_prefix:(fun k -> String.sub s 0 k)
     in
     if verify && Digest.substring s image_header_len payload_len <> digest then
@@ -1561,11 +1586,14 @@ let load_image ?(verify = true) path =
         Bytes.unsafe_to_string b
       in
       let digest, payload_len =
-        check_header ~what:path ~len:file_len
-          ~read_prefix:(fun k -> pread 0 k "header")
+        check_header ~len:file_len ~read_prefix:(fun k -> pread 0 k "header")
       in
+      (* The digest reads through a duplicate of the descriptor that is
+         mapped below, never through [path] again: an image renamed over
+         [path] in between would otherwise be checked in place of the
+         one served. *)
       if verify then begin
-        let ic = open_in_bin path in
+        let ic = Unix.in_channel_of_descr (Unix.dup fd) in
         Fun.protect
           ~finally:(fun () -> close_in_noerr ic)
           (fun () ->

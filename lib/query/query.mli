@@ -232,6 +232,10 @@ val to_image_string : ?seed:int -> ?source_key:string -> ?range:int * int -> t -
     corrupt. *)
 
 val save_image : ?seed:int -> ?source_key:string -> ?range:int * int -> string -> t -> (unit, Lapis_store.Snapshot.error) result
+(** {!to_image_string} published atomically: written to a temp file in
+    the target directory, then renamed over the path (the temp file is
+    removed on error). A process that has the old image mapped keeps
+    answering from it. *)
 
 val of_image : ?verify:bool -> string -> (t, Lapis_store.Snapshot.error) result
 (** Decode an image from memory (the fuzz harness's entry point; the
@@ -245,6 +249,7 @@ val load_image : ?verify:bool -> string -> (t, Lapis_store.Snapshot.error) resul
 (** Map an image file read-only ([Unix.map_file]) and validate every
     section offset, length, plane width and cross-reference up front;
     the returned index answers queries straight from the mapping.
-    [verify] (default true) streams the payload once to check the MD5
-    — skipping it makes loading O(validation), not O(file). Timed
+    [verify] (default true) streams the payload once to check the MD5,
+    through the same open file that is mapped — skipping it makes
+    loading O(validation), not O(file). Timed
     under the ["image-load"] stage. *)

@@ -8,6 +8,7 @@ module Api = Core.Apidb.Api
 module Syscall_table = Core.Apidb.Syscall_table
 module Query = Core.Query.Engine
 module Snapshot = Core.Db.Snapshot
+module Store = Core.Db.Store
 module Rng = Core.Distro.Rng
 
 let env = lazy (Core.Study.Env.create_small ())
@@ -175,6 +176,53 @@ let test_round_trip_mapped () =
   check_exact "replica agreement"
     (Query.eval_syscalls loaded all_nrs)
     (Query.eval_syscalls again all_nrs)
+
+(* Saving a different index over a path that is mapped must leave the
+   mapped index answering from the image it loaded: the publish renames
+   a fresh file into place instead of rewriting the mapped one. The
+   replacement world halves every install probability, so it has the
+   same shape and image size but different answers. *)
+let test_overwrite_while_mapped () =
+  let built = index () in
+  let store = (Lazy.force env).Core.Study.Env.store in
+  let other =
+    Query.index
+      {
+        store with
+        Store.packages =
+          Array.map
+            (fun (p : Store.pkg_row) -> { p with Store.pr_prob = p.Store.pr_prob /. 2.0 })
+            store.Store.packages;
+      }
+  in
+  let save t path =
+    match Query.save_image path t with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "save_image: %a" Snapshot.pp_error e
+  in
+  let dir = Filename.get_temp_dir_name () in
+  let path = Filename.temp_file ~temp_dir:dir "lapis_image" ".idx" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  save built path;
+  let loaded =
+    match Query.load_image path with
+    | Ok t -> t
+    | Error e -> Alcotest.failf "load_image: %a" Snapshot.pp_error e
+  in
+  save other path;
+  check_agreement built loaded;
+  (* the path now holds the replacement, and no temp file is left *)
+  (match Query.load_image path with
+   | Ok t ->
+     check_exact "replacement"
+       (Query.eval_syscalls other all_nrs)
+       (Query.eval_syscalls t all_nrs)
+   | Error e -> Alcotest.failf "load_image: %a" Snapshot.pp_error e);
+  let base = Filename.basename path in
+  Sys.readdir dir
+  |> Array.iter (fun f ->
+         if f <> base && String.starts_with ~prefix:(base ^ ".tmp") f then
+           Alcotest.failf "temp file %s left behind" f)
 
 let test_file_version_routes () =
   let path = Filename.temp_file "lapis_image" ".idx" in
@@ -402,21 +450,57 @@ let test_qcheck_slice_partials () =
   in
   QCheck_alcotest.to_alcotest cell
 
-let test_qcheck_heap_map_agree () =
+(* A built index against the same index saved and mapped: full and
+   partial completeness over random subsets and ranges, and importance
+   of random APIs (syscalls in and out of the index, and every other
+   API kind the store holds), all exactly equal. *)
+let test_qcheck_built_mapped_agree () =
   let built = index () in
-  let loaded = of_image_exn (Lazy.force image) in
+  let path = Filename.temp_file "lapis_image" ".idx" in
+  (match Query.save_image path built with
+   | Ok () -> ()
+   | Error e -> Alcotest.failf "save_image: %a" Snapshot.pp_error e);
+  let mapped =
+    match Query.load_image path with
+    | Ok t -> t
+    | Error e -> Alcotest.failf "load_image: %a" Snapshot.pp_error e
+  in
+  Sys.remove path;
+  let store = (Lazy.force env).Core.Study.Env.store in
+  let apis =
+    Array.fold_left
+      (fun acc (p : Store.pkg_row) -> Api.Set.union acc p.Store.pr_apis)
+      Api.Set.empty store.Store.packages
+    |> Api.Set.elements |> Array.of_list
+  in
+  let n = Query.n_packages built in
   let gen =
     QCheck2.Gen.(
-      pair
-        (oneofl [ Query.All; Query.Init; Query.Serving ])
-        (list_size (int_bound 120) (int_bound 450)))
+      let* phase = oneofl [ Query.All; Query.Init; Query.Serving ] in
+      let* nrs = list_size (int_bound 120) (int_bound 450) in
+      let* lo = int_range (-5) (n + 5) in
+      let* hi = int_range (-5) (n + 5) in
+      let* api =
+        oneof
+          [
+            map (fun nr -> Api.Syscall nr) (int_bound 460);
+            map (fun k -> apis.(k)) (int_bound (Array.length apis - 1));
+          ]
+      in
+      return (phase, nrs, (lo, hi), api))
   in
   let cell =
-    QCheck2.Test.make ~count:300 ~name:"heap vs map eval_syscalls" gen
-      (fun (phase, nrs) ->
+    QCheck2.Test.make ~count:300 ~name:"built vs mapped answers" gen
+      (fun (phase, nrs, (lo, hi), api) ->
+        let num_b, den_b = Query.eval_syscalls_partial ~phase built nrs ~lo ~hi in
+        let num_m, den_m = Query.eval_syscalls_partial ~phase mapped nrs ~lo ~hi in
         Float.equal
           (Query.eval_syscalls ~phase built nrs)
-          (Query.eval_syscalls ~phase loaded nrs))
+          (Query.eval_syscalls ~phase mapped nrs)
+        && Float.equal num_b num_m && Float.equal den_b den_m
+        && Float.equal
+             (Query.importance ~phase built api)
+             (Query.importance ~phase mapped api))
   in
   QCheck_alcotest.to_alcotest cell
 
@@ -427,6 +511,8 @@ let () =
         [
           Alcotest.test_case "memory" `Quick test_round_trip_memory;
           Alcotest.test_case "mapped file" `Quick test_round_trip_mapped;
+          Alcotest.test_case "overwrite while mapped" `Quick
+            test_overwrite_while_mapped;
           Alcotest.test_case "version routing" `Quick test_file_version_routes;
         ] );
       ( "damage",
@@ -442,5 +528,5 @@ let () =
           Alcotest.test_case "full width" `Quick test_slice_full_width;
         ] );
       ( "qcheck",
-        [ test_qcheck_heap_map_agree (); test_qcheck_slice_partials () ] );
+        [ test_qcheck_built_mapped_agree (); test_qcheck_slice_partials () ] );
     ]
