@@ -1656,8 +1656,10 @@ let run_query_bench (args : args) =
    and analyze every release twice — from scratch (a fresh per-run
    cache) and incrementally (one content-hash cache carried across
    the whole sequence). The two snapshots must be byte-identical at
-   EVERY release; BENCH_EVOLVE.json records the wall-time ratio, the
-   cache-reuse counters and the delta-vs-full snapshot sizes. *)
+   EVERY release, and each release's delta against release 0 must
+   rebuild its full serialization; BENCH_EVOLVE.json records the
+   wall-time ratio, the cache-reuse counters, the delta-vs-full
+   snapshot sizes and the time to encode each delta. *)
 
 type evolve_row = {
   er_release : int;
@@ -1667,6 +1669,7 @@ type evolve_row = {
   er_misses : int;
   er_full_bytes : int;
   er_delta_bytes : int;  (* 0 for the base release *)
+  er_delta_s : float;  (* to_delta_string; 0 for the base release *)
 }
 
 let write_evolve_json ~packages ~releases ~rows ~scratch_s ~inc_s ~hits
@@ -1693,10 +1696,10 @@ let write_evolve_json ~packages ~releases ~rows ~scratch_s ~inc_s ~hits
     (fun i r ->
       pf "%s\n    { \"release\": %d, \"scratch_s\": %.6f, \"inc_s\": %.6f, \
           \"hits\": %d, \"misses\": %d, \"full_bytes\": %d, \
-          \"delta_bytes\": %d }"
+          \"delta_bytes\": %d, \"delta_s\": %.6f }"
         (if i = 0 then "" else ",")
         r.er_release r.er_scratch_s r.er_inc_s r.er_hits r.er_misses
-        r.er_full_bytes r.er_delta_bytes)
+        r.er_full_bytes r.er_delta_bytes r.er_delta_s)
     rows;
   pf "\n  ]\n}\n";
   close_out oc;
@@ -1740,12 +1743,28 @@ let run_evolve_bench args =
     let dh = hits - !prev_hits and dm = misses - !prev_misses in
     prev_hits := hits;
     prev_misses := misses;
-    let delta_bytes =
+    let delta_bytes, delta_s =
       match !base with
       | None ->
         base := Some snap_inc;
-        0
-      | Some b -> String.length (Sn.to_delta_string ~base:b snap_inc)
+        (0, 0.0)
+      | Some b ->
+        let t3 = Unix.gettimeofday () in
+        let delta = Sn.to_delta_string ~base:b snap_inc in
+        let delta_s = Unix.gettimeofday () -. t3 in
+        let rebuilt =
+          match Sn.apply_delta ~base:b delta with
+          | Ok applied -> Sn.to_string applied = b_inc
+          | Error _ -> false
+        in
+        if not rebuilt then begin
+          Printf.eprintf
+            "bench: FAIL: release %d: its delta against release 0 does not \
+             rebuild the release's snapshot\n"
+            r;
+          exit 1
+        end;
+        (String.length delta, delta_s)
     in
     tot_scratch := !tot_scratch +. (t1 -. t0);
     tot_inc := !tot_inc +. (t2 -. t1);
@@ -1758,6 +1777,7 @@ let run_evolve_bench args =
         er_misses = dm;
         er_full_bytes = String.length b_inc;
         er_delta_bytes = delta_bytes;
+        er_delta_s = delta_s;
       }
       :: !rows;
     Printf.printf
@@ -1765,13 +1785,14 @@ let run_evolve_bench args =
        %.2fs, reuse %d/%d%s\n%!"
       r (String.length b_inc) (t1 -. t0) (t2 -. t1) dh (dh + dm)
       (if delta_bytes = 0 then ""
-       else Printf.sprintf ", delta %d bytes" delta_bytes)
+       else Printf.sprintf ", delta %d bytes in %.3fs, rebuilds" delta_bytes delta_s)
   done;
   let hits = Core.Perf.Stage.counter "incremental:hits" in
   let misses = Core.Perf.Stage.counter "incremental:misses" in
   Printf.printf
-    "Evolve bench: all %d releases bit-identical; wall %.2fs scratch vs \
-     %.2fs incremental (ratio %.2f), cache reuse %d/%d\n%!"
+    "Evolve bench: all %d releases bit-identical, every delta rebuilds \
+     its release; wall %.2fs scratch vs %.2fs incremental (ratio %.2f), \
+     cache reuse %d/%d\n%!"
     (args.releases + 1) !tot_scratch !tot_inc
     (if !tot_scratch > 0.0 then !tot_inc /. !tot_scratch else 0.0)
     hits (hits + misses);

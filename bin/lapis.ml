@@ -298,12 +298,9 @@ let evolve_cmd =
       match publish with
       | None -> ()
       | Some path ->
-        let tmp = path ^ ".tmp" in
-        (match Snapshot.save tmp snap with
-         | Error e -> fail_snap "publish" tmp e
-         | Ok () ->
-           Sys.rename tmp path;
-           Printf.eprintf "# published %s\n%!" path)
+        (match Snapshot.save path snap with
+         | Error e -> fail_snap "publish" path e
+         | Ok () -> Printf.eprintf "# published %s\n%!" path)
     in
     let prev_hits = ref 0 and prev_misses = ref 0 in
     let reuse_since_last () =

@@ -1238,21 +1238,7 @@ let to_image_string ?(seed = 0) ?(source_key = "") ?range t =
    would hand that process new bytes under offsets validated against
    the old image, or SIGBUS past the new end of file. *)
 let save_image ?seed ?source_key ?range path t =
-  match to_image_string ?seed ?source_key ?range t with
-  | Error e -> Error e
-  | Ok s -> (
-    let tmp = Printf.sprintf "%s.tmp-%d" path (Unix.getpid ()) in
-    match
-      Out_channel.with_open_bin tmp (fun oc ->
-          output_string oc s;
-          (* a failed final flush must stop the rename *)
-          close_out oc);
-      Sys.rename tmp path
-    with
-    | () -> Ok ()
-    | exception Sys_error msg ->
-      (try Sys.remove tmp with Sys_error _ -> ());
-      Error (Snapshot.Io msg))
+  Result.bind (to_image_string ?seed ?source_key ?range t) (Snapshot.write_atomic path)
 
 (* --- loader ------------------------------------------------------- *)
 

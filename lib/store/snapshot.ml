@@ -191,16 +191,17 @@ let w_str b s =
   w_varint b (String.length s);
   Buffer.add_string b s
 
-let w_float b f =
-  let scratch = Bytes.create 8 in
-  Bytes.set_int64_le scratch 0 (Int64.bits_of_float f);
-  Buffer.add_bytes b scratch
+let w_float b f = Buffer.add_int64_le b (Int64.bits_of_float f)
 
 let w_bool b v = Buffer.add_char b (if v then '\001' else '\000')
 
 let w_list b w items =
   w_varint b (List.length items);
   List.iter (w b) items
+
+let w_array b w items =
+  w_varint b (Array.length items);
+  Array.iter (w b) items
 
 let w_digest b (d : Digest.t) =
   (* a Digest.t is exactly 16 raw bytes *)
@@ -222,56 +223,21 @@ let w_api b = function
     Buffer.add_char b '\003';
     w_str b name
 
-(* Format 2 dictionary: every API in the snapshot, interned in the
-   order the writer meets the sets (packages first, then binaries,
-   each set in [Api.Set] order). That order is a pure function of the
-   rows, which is what makes decode -> re-encode byte-identical. *)
-type dict = { d_apis : Api.t array; d_ids : int Api.Tbl.t }
+(* A set written element-wise: its count, then each element in
+   [Api.Set] order. This is the format-1 wire form and the delta's row
+   identity: equal sets give equal bytes whatever the shape of their
+   balanced trees. *)
+let w_api_set_elems b set =
+  w_varint b (Api.Set.cardinal set);
+  Api.Set.iter (w_api b) set
 
-let build_dict (packages : Store.pkg_row list) (bins : Store.bin_row list) :
-    dict =
-  let d_ids = Api.Tbl.create 4096 in
-  let rev = ref [] in
-  let n = ref 0 in
-  let intern api =
-    if not (Api.Tbl.mem d_ids api) then begin
-      Api.Tbl.add d_ids api !n;
-      incr n;
-      rev := api :: !rev
-    end
-  in
-  let set s = Api.Set.iter intern s in
-  List.iter
-    (fun (p : Store.pkg_row) ->
-      set p.Store.pr_apis;
-      set p.Store.pr_apis_elf;
-      set p.Store.pr_init;
-      set p.Store.pr_serving)
-    packages;
-  List.iter
-    (fun (r : Store.bin_row) ->
-      set r.Store.br_direct.Footprint.apis;
-      set r.Store.br_resolved.Footprint.apis;
-      set r.Store.br_init;
-      set r.Store.br_serving)
-    bins;
-  { d_apis = Array.of_list (List.rev !rev); d_ids }
-
-let w_dict b (dict : dict) =
-  w_varint b (Array.length dict.d_apis);
-  Array.iter (w_api b) dict.d_apis
-
-(* A set on the format-2 wire is its bitset over the dictionary
-   universe, length-prefixed ({!Lapis_perf.Bitset.to_bytes} length is
-   fixed by the universe, but the prefix keeps the row format
-   self-delimiting). *)
-let w_api_set_packed b (dict : dict) set =
-  let bits = Lapis_perf.Bitset.create (Array.length dict.d_apis) in
-  Api.Set.iter (fun a -> Lapis_perf.Bitset.add bits (Api.Tbl.find dict.d_ids a)) set;
-  w_str b (Lapis_perf.Bitset.to_bytes bits)
-
-let w_footprint b dict (fp : Footprint.t) =
-  w_api_set_packed b dict fp.Footprint.apis;
+(* The row writers take the set writer [ws] as a parameter: the wire
+   form passes the dictionary-bitset writer of [encode_packed], the
+   delta's row identity passes [w_api_set_elems]. Both share every
+   other byte of the row layout, so no field can drop out of the
+   identity. *)
+let w_footprint ws b (fp : Footprint.t) =
+  ws b fp.Footprint.apis;
   w_varint b (Footprint.String_set.cardinal fp.Footprint.imports);
   Footprint.String_set.iter (w_str b) fp.Footprint.imports;
   w_int b fp.Footprint.unresolved_sites;
@@ -294,39 +260,33 @@ let w_class b = function
        w_str b s)
   | Classify.Data -> Buffer.add_char b '\004'
 
-let w_pkg_row dict b (p : Store.pkg_row) =
+let w_pkg_row ws b (p : Store.pkg_row) =
   w_str b p.Store.pr_name;
   w_int b p.Store.pr_installs;
   w_float b p.Store.pr_prob;
   w_list b w_str p.Store.pr_deps;
   w_bool b p.Store.pr_essential;
-  w_api_set_packed b dict p.Store.pr_apis;
-  w_api_set_packed b dict p.Store.pr_apis_elf;
-  w_api_set_packed b dict p.Store.pr_init;
-  w_api_set_packed b dict p.Store.pr_serving
+  ws b p.Store.pr_apis;
+  ws b p.Store.pr_apis_elf;
+  ws b p.Store.pr_init;
+  ws b p.Store.pr_serving
 
-let w_bin_row dict b (r : Store.bin_row) =
+let w_bin_row ws b (r : Store.bin_row) =
   w_str b r.Store.br_path;
   w_str b r.Store.br_package;
   w_class b r.Store.br_class;
   w_digest b r.Store.br_digest;
-  w_footprint b dict r.Store.br_direct;
-  w_footprint b dict r.Store.br_resolved;
-  w_api_set_packed b dict r.Store.br_init;
-  w_api_set_packed b dict r.Store.br_serving
+  w_footprint ws b r.Store.br_direct;
+  w_footprint ws b r.Store.br_resolved;
+  ws b r.Store.br_init;
+  ws b r.Store.br_serving
 
-(* Frame a finished payload with the shared header discipline. *)
-let frame ~version payload =
-  let out = Buffer.create (header_len + String.length payload) in
-  Buffer.add_string out magic;
-  let scratch = Bytes.create 8 in
-  Bytes.set_int32_le scratch 0 (Int32.of_int version);
-  Buffer.add_subbytes out scratch 0 4;
-  Buffer.add_string out (Digest.string payload);
-  Bytes.set_int64_le scratch 0 (Int64.of_int (String.length payload));
-  Buffer.add_bytes out scratch;
-  Buffer.add_string out payload;
-  Buffer.contents out
+let w_rejects b rejects =
+  w_list b
+    (fun b (kind, n) ->
+      w_str b kind;
+      w_int b n)
+    rejects
 
 let w_meta b (m : meta) =
   w_int b m.seed;
@@ -335,20 +295,101 @@ let w_meta b (m : meta) =
   w_str b m.source_key;
   w_int b m.release
 
-let to_string (t : t) : string =
+(* The format-2 encoder, framed with the shared header discipline: a
+   payload of [head], the API dictionary, then everything [body]
+   writes, with every API set as its bitset over the dictionary
+   universe, length-prefixed (the length is fixed by the universe, but
+   the prefix keeps the row format self-delimiting).
+
+   One walk: [body] hands each set to the set writer it is given,
+   which interns the elements on first sight and records in one varint
+   buffer where the set goes, its size and its ids. The dictionary is
+   therefore in the order the rows meet their APIs (packages first,
+   then binaries, each set in [Api.Set] order), a pure function of the
+   rows, which is what makes decode -> re-encode byte-identical. The
+   output size is then known, so the frame is allocated once and
+   stitched together in place, each set's bits set straight from its
+   ids. *)
+let encode_packed ~version ~head body =
+  let ids = Api.Tbl.create 4096 in
+  let apis = ref [] and n_apis = ref 0 in
+  let sets = Buffer.create (1 lsl 16) and n_sets = ref 0 in
+  let intern api =
+    match Api.Tbl.find ids api with
+    | id -> id
+    | exception Not_found ->
+      let id = !n_apis in
+      Api.Tbl.add ids api id;
+      apis := api :: !apis;
+      incr n_apis;
+      id
+  in
+  let w_set b set =
+    w_varint sets (Buffer.length b);
+    incr n_sets;
+    w_varint sets (Api.Set.cardinal set);
+    Api.Set.iter (fun api -> w_varint sets (intern api)) set
+  in
   let b = Buffer.create (1 lsl 20) in
-  w_meta b t.meta;
-  let packages = Array.to_list t.store.Store.packages in
-  let dict = build_dict packages t.store.Store.bins in
-  w_dict b dict;
-  w_list b (w_pkg_row dict) packages;
-  w_list b (w_bin_row dict) t.store.Store.bins;
-  w_list b
-    (fun b (kind, n) ->
-      w_str b kind;
-      w_int b n)
-    t.rejects;
-  frame ~version:format_version (Buffer.contents b)
+  body w_set b;
+  let prefix = Buffer.create 4096 in
+  head prefix;
+  w_varint prefix !n_apis;
+  List.iter (w_api prefix) (List.rev !apis);
+  let nbytes = (!n_apis + 7) / 8 in
+  let set_len = Buffer.create 4 in
+  w_varint set_len nbytes;
+  let payload_len =
+    Buffer.length prefix + Buffer.length b
+    + (!n_sets * (Buffer.length set_len + nbytes))
+  in
+  let out = Bytes.make (header_len + payload_len) '\000' in
+  let o = ref header_len in
+  let blit src from len =
+    Buffer.blit src from out !o len;
+    o := !o + len
+  in
+  blit prefix 0 (Buffer.length prefix);
+  let pos = ref 0 in
+  let next () =
+    let acc = ref 0 and shift = ref 0 and more = ref true in
+    while !more do
+      let byte = Char.code (Buffer.nth sets !pos) in
+      incr pos;
+      acc := !acc lor ((byte land 0x7f) lsl !shift);
+      shift := !shift + 7;
+      more := byte land 0x80 <> 0
+    done;
+    !acc
+  in
+  let from = ref 0 in
+  while !pos < Buffer.length sets do
+    let cut = next () in
+    blit b !from (cut - !from);
+    from := cut;
+    blit set_len 0 (Buffer.length set_len);
+    for _ = 1 to next () do
+      let id = next () in
+      let j = !o + (id lsr 3) in
+      Bytes.set out j
+        (Char.unsafe_chr (Char.code (Bytes.get out j) lor (1 lsl (id land 7))))
+    done;
+    o := !o + nbytes
+  done;
+  blit b !from (Buffer.length b - !from);
+  Bytes.blit_string magic 0 out 0 (String.length magic);
+  Bytes.set_int32_le out 8 (Int32.of_int version);
+  Bytes.blit_string (Digest.subbytes out header_len payload_len) 0 out 12 16;
+  Bytes.set_int64_le out 28 (Int64.of_int payload_len);
+  Bytes.unsafe_to_string out
+
+let to_string (t : t) : string =
+  encode_packed ~version:format_version
+    ~head:(fun b -> w_meta b t.meta)
+    (fun ws b ->
+      w_array b (w_pkg_row ws) t.store.Store.packages;
+      w_list b (w_bin_row ws) t.store.Store.bins;
+      w_rejects b t.rejects)
 
 (* ------------------------------------------------------------------ *)
 (* Decoding                                                            *)
@@ -615,61 +656,74 @@ let tag_keep = '\000'
 let tag_new = '\001'
 
 let to_delta_string ~(base : t) (cur : t) : string =
-  let base_pkgs = Array.to_list base.store.Store.packages in
-  let cur_pkgs = Array.to_list cur.store.Store.packages in
-  let base_bins = base.store.Store.bins in
-  let cur_bins = cur.store.Store.bins in
-  (* Row identity is serialization equality under one shared
-     dictionary: bitsets of equal sets are equal bytes, so this is
-     exactly field-for-field row equality (structural [=] on the
-     balanced-tree sets would be shape-sensitive). *)
-  let cmp_dict = build_dict (base_pkgs @ cur_pkgs) (base_bins @ cur_bins) in
-  let row_bytes w row =
-    let b = Buffer.create 256 in
-    w cmp_dict b row;
-    Buffer.contents b
+  (* Row identity is equality of the element-wise row encoding (every
+     set written by [w_api_set_elems]): the encoding is injective and
+     prefix-free, so equal encodings mean equal fields (floats by bit
+     pattern, as [w_float] writes them) and equal sets, whatever the
+     shape of their balanced trees. The base rows are indexed by the
+     MD5 of their encoding, so 16 bytes per row are kept. A current
+     row whose digest hits is confirmed byte for byte against each
+     candidate's re-encoding, lowest index first, and keeps just its
+     lookup result. *)
+  let enc = Buffer.create 4096 in
+  (* [encoded.(k)] holds the encoding [encode k] wrote last *)
+  let encoded = [| Bytes.create 4096; Bytes.create 4096 |] in
+  let encode k w r =
+    Buffer.clear enc;
+    w w_api_set_elems enc r;
+    let n = Buffer.length enc in
+    if Bytes.length encoded.(k) < n then encoded.(k) <- Bytes.create (2 * n);
+    Buffer.blit enc 0 encoded.(k) 0 n;
+    n
   in
-  let index rows w =
-    let h = Hashtbl.create (2 * List.length rows) in
-    List.iteri
-      (fun i r ->
-        let k = row_bytes w r in
-        if not (Hashtbl.mem h k) then Hashtbl.add h k i)
-      rows;
-    h
+  let same n =
+    let a = encoded.(0) and b = encoded.(1) in
+    let rec go i =
+      if i + 8 <= n then
+        Int64.equal (Bytes.get_int64_ne a i) (Bytes.get_int64_ne b i) && go (i + 8)
+      else i >= n || (Bytes.get a i = Bytes.get b i && go (i + 1))
+    in
+    go 0
   in
-  let pkg_index = index base_pkgs w_pkg_row in
-  let bin_index = index base_bins w_bin_row in
-  let keyed rows w = List.map (fun r -> (r, row_bytes w r)) rows in
-  let cur_pkg_keys = keyed cur_pkgs w_pkg_row in
-  let cur_bin_keys = keyed cur_bins w_bin_row in
-  let fresh idx keys =
-    List.filter_map
-      (fun (r, k) -> if Hashtbl.mem idx k then None else Some r)
-      keys
+  let instrs w base_rows cur_rows =
+    let by_digest = Hashtbl.create (2 * Array.length base_rows) in
+    (* added last to first, so [find_all] lists the lowest index first *)
+    for i = Array.length base_rows - 1 downto 0 do
+      let n = encode 0 w base_rows.(i) in
+      Hashtbl.add by_digest (Digest.subbytes encoded.(0) 0 n) i
+    done;
+    Array.map
+      (fun r ->
+        let n = encode 0 w r in
+        let candidates = Hashtbl.find_all by_digest (Digest.subbytes encoded.(0) 0 n) in
+        (r, List.find_opt (fun i -> encode 1 w base_rows.(i) = n && same n) candidates))
+      cur_rows
   in
-  let dict = build_dict (fresh pkg_index cur_pkg_keys) (fresh bin_index cur_bin_keys) in
-  let b = Buffer.create (1 lsl 16) in
-  w_meta b cur.meta;
-  w_digest b (Digest.string (to_string base));
-  w_dict b dict;
-  let w_instr idx w b (r, key) =
-    match Hashtbl.find_opt idx key with
-    | Some i ->
-      Buffer.add_char b tag_keep;
-      w_varint b i
-    | None ->
-      Buffer.add_char b tag_new;
-      w dict b r
+  let pkgs = instrs w_pkg_row base.store.Store.packages cur.store.Store.packages in
+  let bins =
+    instrs w_bin_row
+      (Array.of_list base.store.Store.bins)
+      (Array.of_list cur.store.Store.bins)
   in
-  w_list b (w_instr pkg_index w_pkg_row) cur_pkg_keys;
-  w_list b (w_instr bin_index w_bin_row) cur_bin_keys;
-  w_list b
-    (fun b (kind, n) ->
-      w_str b kind;
-      w_int b n)
-    cur.rejects;
-  frame ~version:delta_version (Buffer.contents b)
+  let base_digest = Digest.string (to_string base) in
+  (* the dictionary covers only the rows the delta ships *)
+  encode_packed ~version:delta_version
+    ~head:(fun b ->
+      w_meta b cur.meta;
+      w_digest b base_digest)
+    (fun ws b ->
+      let w_instr w b (r, hit) =
+        match hit with
+        | Some i ->
+          Buffer.add_char b tag_keep;
+          w_varint b i
+        | None ->
+          Buffer.add_char b tag_new;
+          w ws b r
+      in
+      w_array b (w_instr w_pkg_row) pkgs;
+      w_array b (w_instr w_bin_row) bins;
+      w_rejects b cur.rejects)
 
 let apply_delta ~(base : t) (s : string) : (t, error) result =
   try
@@ -737,14 +791,39 @@ let apply_delta ~(base : t) (s : string) : (t, error) result =
       }
   with Fail e -> Error e
 
-let save_delta path ~(base : t) (cur : t) : (unit, error) result =
+(* Publish [contents] at [path] atomically: write a temp file in the
+   same directory, then rename it over [path]. A reader that opened the
+   old file keeps reading the old bytes to EOF, and one that opens
+   [path] sees either the old file or the new one, never a torn mix.
+   [Filename.temp_file] picks a fresh name, so concurrent publishers
+   never share a temp file. It creates that file owner-only, so the
+   file is recreated exclusively under the name it reserved, with the
+   mode a plain [open_out] gives (0o666 less the umask). *)
+let write_atomic path contents : (unit, error) result =
   match
-    let oc = open_out_bin path in
-    Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
-        output_string oc (to_delta_string ~base cur))
+    let tmp =
+      Filename.temp_file ~temp_dir:(Filename.dirname path)
+        (Filename.basename path ^ ".tmp") ""
+    in
+    Sys.remove tmp;
+    (tmp, open_out_gen [ Open_wronly; Open_creat; Open_excl; Open_binary ] 0o666 tmp)
   with
-  | () -> Ok ()
   | exception Sys_error msg -> Error (Io msg)
+  | tmp, oc -> (
+    match
+      output_string oc contents;
+      (* a failed final flush must stop the rename *)
+      close_out oc;
+      Sys.rename tmp path
+    with
+    | () -> Ok ()
+    | exception Sys_error msg ->
+      close_out_noerr oc;
+      (try Sys.remove tmp with Sys_error _ -> ());
+      Error (Io msg))
+
+let save_delta path ~(base : t) (cur : t) : (unit, error) result =
+  write_atomic path (to_delta_string ~base cur)
 
 let load_delta path ~(base : t) : (t, error) result =
   match
@@ -756,14 +835,7 @@ let load_delta path ~(base : t) : (t, error) result =
   | exception Sys_error msg -> Error (Io msg)
   | exception End_of_file -> Error (Io (path ^ ": unexpected end of file"))
 
-let save path (t : t) : (unit, error) result =
-  match
-    let oc = open_out_bin path in
-    Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
-        output_string oc (to_string t))
-  with
-  | () -> Ok ()
-  | exception Sys_error msg -> Error (Io msg)
+let save path (t : t) : (unit, error) result = write_atomic path (to_string t)
 
 let load path : (t, error) result =
   match

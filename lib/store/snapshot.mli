@@ -110,8 +110,17 @@ val of_string : string -> (t, error) result
     corrupt input yields [Error], never an exception. *)
 
 val save : string -> t -> (unit, error) result
+(** Publish atomically with {!write_atomic}. *)
+
 val load : string -> (t, error) result
 (** [load] times itself under the ["snapshot-load"] {!Lapis_perf.Stage}. *)
+
+val write_atomic : string -> string -> (unit, error) result
+(** [write_atomic path contents] writes a fresh temp file in [path]'s
+    directory and renames it over [path]. A reader that already opened
+    [path] keeps reading the old bytes; no reader ever sees a torn
+    file. The file gets the mode [open_out] would give it. Every
+    snapshot, delta and index-image writer publishes through this. *)
 
 val to_delta_string : base:t -> t -> string
 (** Serialize [cur] as a format-5 delta against [base]: the base's
@@ -128,6 +137,7 @@ val apply_delta : base:t -> string -> (t, error) result
     [Corrupt]. *)
 
 val save_delta : string -> base:t -> t -> (unit, error) result
+(** Publish atomically, like {!save}. *)
 
 val load_delta : string -> base:t -> (t, error) result
 (** [load_delta] times itself under ["snapshot-load"], like {!load}. *)

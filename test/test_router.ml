@@ -60,8 +60,9 @@ let converse port reqs =
     reqs;
   flush oc;
   let resps = List.map (fun _ -> parse_exn (input_line ic)) reqs in
+  (* both channels share one descriptor: close it once, or the second
+     close may hit a socket another client thread just opened *)
   close_out_noerr oc;
-  close_in_noerr ic;
   resps
 
 let ask port line = List.hd (converse port [ line ])

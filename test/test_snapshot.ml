@@ -79,6 +79,46 @@ let test_roundtrip_file () =
         (Snapshot.to_string snap)
         (Snapshot.to_string snap'))
 
+(* Saving over a path publishes a new file instead of rewriting the
+   old one in place: a reader that opened the old snapshot reads the
+   old bytes to EOF, no temp file is left beside the path, and the
+   file has the mode [open_out] gives. *)
+let test_overwrite_while_open () =
+  let snap = snapshot () in
+  let other = { snap with Snapshot.rejects = ("overwritten", 1) :: snap.Snapshot.rejects } in
+  let dir = Filename.temp_file "lapis-snapdir" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let path = Filename.concat dir "world.snap" in
+  let save t =
+    match Snapshot.save path t with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "save: %a" Snapshot.pp_error e
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      save snap;
+      let ic = open_in_bin path in
+      let old_bytes =
+        Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+            save other;
+            In_channel.input_all ic)
+      in
+      Alcotest.(check string) "open reader keeps the old bytes"
+        (Snapshot.to_string snap) old_bytes;
+      Alcotest.(check string) "the path holds the new snapshot"
+        (Snapshot.to_string other)
+        (Snapshot.to_string (ok_exn "load" (Snapshot.load path)));
+      Alcotest.(check (list string)) "no temp file left" [ "world.snap" ]
+        (Array.to_list (Sys.readdir dir));
+      let plain = Filename.concat dir "plain" in
+      close_out (open_out_bin plain);
+      Alcotest.(check int) "mode of a plainly created file"
+        (Unix.stat plain).Unix.st_perm (Unix.stat path).Unix.st_perm)
+
 let test_matches () =
   let snap = snapshot () in
   Alcotest.(check bool) "same config matches" true
@@ -261,6 +301,8 @@ let () =
         [ Alcotest.test_case "bytes" `Quick test_roundtrip_bytes;
           Alcotest.test_case "metrics" `Quick test_roundtrip_metrics;
           Alcotest.test_case "file" `Quick test_roundtrip_file;
+          Alcotest.test_case "overwrite while open" `Quick
+            test_overwrite_while_open;
           Alcotest.test_case "matches" `Quick test_matches;
           QCheck_alcotest.to_alcotest qcheck_roundtrip ] );
       ( "corruption",
