@@ -20,9 +20,40 @@ let vector_of_syscall_nr = function
   | 157 -> Some Prctl
   | _ -> None
 
-let compare = Stdlib.compare
-let equal a b = compare a b = 0
+(* Monomorphic order, equal to [Stdlib.compare]'s on this type: the
+   constructor in declaration order first, then the payload — numbers
+   by value, a vector by its declaration rank, strings bytewise. Sets,
+   maps and tables of APIs sit on every hot path of the pipeline and
+   the index builder, where the runtime's generic compare costs a
+   C call per comparison; the order (and with it every [Set]
+   iteration, snapshot byte and interned id) is unchanged. *)
+let tag = function
+  | Syscall _ -> 0
+  | Vop _ -> 1
+  | Pseudo_file _ -> 2
+  | Libc_sym _ -> 3
 
+let vector_rank = function Ioctl -> 0 | Fcntl -> 1 | Prctl -> 2
+
+let compare a b =
+  match (a, b) with
+  | Syscall x, Syscall y -> Int.compare x y
+  | Vop (v, x), Vop (w, y) ->
+    (match Int.compare (vector_rank v) (vector_rank w) with
+     | 0 -> Int.compare x y
+     | c -> c)
+  | Pseudo_file x, Pseudo_file y | Libc_sym x, Libc_sym y -> String.compare x y
+  | _ -> Int.compare (tag a) (tag b)
+
+let equal a b =
+  match (a, b) with
+  | Syscall x, Syscall y -> Int.equal x y
+  | Vop (v, x), Vop (w, y) -> v == w && Int.equal x y
+  | Pseudo_file x, Pseudo_file y | Libc_sym x, Libc_sym y -> String.equal x y
+  | _ -> false
+
+(* Generic structural hash, kept so [Tbl] iteration order (which
+   [Store.used_apis] exposes) does not move. *)
 let hash = Hashtbl.hash
 
 let pp ppf = function

@@ -90,15 +90,29 @@ let key t =
   Array.iteri (fun i w -> Bytes.set_int64_le b (8 * i) (Int64.of_int w)) t.w;
   Bytes.unsafe_to_string b
 
+(* Index of the lowest set bit of a nonzero word in constant time. The
+   isolated bit [1 lsl k] is distinct modulo the prime 67 for every
+   [k < 66] (2 generates the multiplicative group mod 67), so one
+   remainder and one table read name it. Bit 62 is the sign bit: its
+   isolated value is [min_int], whose remainder is negative. *)
+let low_bit_of_mod67 =
+  let tbl = Bytes.make 67 '\255' in
+  for k = 0 to bpw - 2 do
+    Bytes.set tbl ((1 lsl k) mod 67) (Char.chr k)
+  done;
+  tbl
+
+let lowest_bit w =
+  let b = w land -w in
+  if b < 0 then bpw - 1
+  else Char.code (Bytes.unsafe_get low_bit_of_mod67 (b mod 67))
+
 let iter f t =
   for k = 0 to Array.length t.w - 1 do
     let w = ref t.w.(k) in
     let base = k * bpw in
     while !w <> 0 do
-      (* lowest set bit: isolate, count shift by halving ranges *)
-      let b = !w land - !w in
-      let rec bit_index b acc = if b = 1 then acc else bit_index (b lsr 1) (acc + 1) in
-      f (base + bit_index b 0);
+      f (base + lowest_bit !w);
       w := !w land (!w - 1)
     done
   done

@@ -118,6 +118,21 @@ let fget (p : floats) i =
   if i < 0 || i >= p.len then invalid_arg "Query: float plane read out of range";
   Bigarray.Array1.unsafe_get p.ba (p.off + i)
 
+(* API -> dense id. Private to the index and only ever looked up, never
+   iterated, so it hashes with a cheap structural function instead of
+   [Api.Tbl]'s generic one (whose iteration order [Store.used_apis]
+   exposes, and so must not change). *)
+module Ids = Hashtbl.Make (struct
+  type t = Api.t
+
+  let equal = Api.equal
+
+  let hash = function
+    | Api.Syscall nr -> nr
+    | Api.Vop (v, code) -> (code * 3) + Api.vector_rank v
+    | Api.Pseudo_file s | Api.Libc_sym s -> Hashtbl.hash s
+end)
+
 (* Distinct closure classes: SCCs whose closures are equal share one
    class, so a query runs one subset test per *distinct* closure
    (typically fewer than packages), then one gated sweep. Class rows
@@ -165,7 +180,7 @@ type t = {
   n_bins : int;
   probs : floats;  (* pkg slice index -> install probability *)
   names : string array;  (* pkg slice index -> name *)
-  api_ids : int Api.Tbl.t;  (* interning: api -> dense id *)
+  api_ids : int Ids.t;  (* interning: api -> dense id *)
   apis : Api.t array;  (* id -> api *)
   survival : floats;  (* id -> prod(1 - p) over dependents *)
   survival_init : floats;  (* same, over init-phase requirers *)
@@ -290,13 +305,13 @@ let ranges n =
 let build_ranking ~n ~api_ids ~(survival : floats)
     ~(elf_count : words) =
   let importance_of_nr nr =
-    match Api.Tbl.find_opt api_ids (Api.Syscall nr) with
+    match Ids.find_opt api_ids (Api.Syscall nr) with
     | Some id -> 1.0 -. fget survival id
     | None -> 0.0
   in
   let unweighted_elf_of_nr nr =
     let k =
-      match Api.Tbl.find_opt api_ids (Api.Syscall nr) with
+      match Ids.find_opt api_ids (Api.Syscall nr) with
       | Some id -> wget elf_count id
       | None -> 0
     in
@@ -327,34 +342,54 @@ let index ?domains (store : Store.t) : t =
   let probs = new_floats n 0.0 in
   Array.iteri (fun i p -> probs.{i} <- p.Store.pr_prob) store.Store.packages;
   let names = Array.map (fun p -> p.Store.pr_name) store.Store.packages in
-  (* Intern every API reachable from any package footprint. Sequential:
-     first-seen order defines the dense ids everything below shares. *)
-  let api_ids = Api.Tbl.create 4096 in
+  (* Intern every API reachable from any package footprint, turning
+     each package's four sets into arrays of dense ids on the way.
+     Sequential: first-seen order (packages in store order; within one,
+     the four sets in the order below, each in [Api.Set] order) defines
+     the ids everything below shares. Every later pass reads the id
+     arrays instead of looking each API up again. *)
+  let api_ids = Ids.create 4096 in
   let rev_apis = ref [] in
   let n_apis = ref 0 in
   let intern api =
-    match Api.Tbl.find_opt api_ids api with
+    match Ids.find_opt api_ids api with
     | Some id -> id
     | None ->
       let id = !n_apis in
       incr n_apis;
-      Api.Tbl.add api_ids api id;
+      Ids.add api_ids api id;
       rev_apis := api :: !rev_apis;
       id
   in
-  Array.iter
-    (fun (p : Store.pkg_row) ->
-      Api.Set.iter (fun a -> ignore (intern a)) p.Store.pr_apis;
-      Api.Set.iter (fun a -> ignore (intern a)) p.Store.pr_apis_elf;
+  let ids_of set =
+    let out = Array.make (Api.Set.cardinal set) 0 in
+    let k = ref 0 in
+    Api.Set.iter
+      (fun a ->
+        out.(!k) <- intern a;
+        incr k)
+      set;
+    out
+  in
+  let ids_all = Array.make n [||] in
+  let ids_elf = Array.make n [||] in
+  let ids_init = Array.make n [||] in
+  let ids_serving = Array.make n [||] in
+  Array.iteri
+    (fun i (p : Store.pkg_row) ->
+      ids_all.(i) <- ids_of p.Store.pr_apis;
+      ids_elf.(i) <- ids_of p.Store.pr_apis_elf;
       (* Phased sets are subsets of [pr_apis] on pipeline-built stores,
          so these add no ids there (the dense universe — and with it
          every unphased structure — is unchanged); hand-built stores
          may violate the subset invariant and still get interned. *)
-      Api.Set.iter (fun a -> ignore (intern a)) p.Store.pr_init;
-      Api.Set.iter (fun a -> ignore (intern a)) p.Store.pr_serving)
+      ids_init.(i) <- ids_of p.Store.pr_init;
+      ids_serving.(i) <- ids_of p.Store.pr_serving)
     store.Store.packages;
   let apis = Array.of_list (List.rev !rev_apis) in
   let n_apis = !n_apis in
+  (* Each id array is dropped once the last pass that reads it is done. *)
+  let release ids = Array.fill ids 0 n [||] in
   (* Survival products, folded in the store's dependents order — the
      same multiply sequence as the Importance oracle. Fanned out by
      API range; each API's product runs whole on one domain, which
@@ -373,34 +408,24 @@ let index ?domains (store : Store.t) : t =
     (ranges n_apis)
   |> ignore;
   let elf_count = new_ints n_apis 0 in
-  Array.iter
-    (fun (p : Store.pkg_row) ->
-      Api.Set.iter
-        (fun a ->
-          let id = Api.Tbl.find api_ids a in
-          elf_count.{id} <- elf_count.{id} + 1)
-        p.Store.pr_apis_elf)
-    store.Store.packages;
+  Array.iter (Array.iter (fun id -> elf_count.{id} <- elf_count.{id} + 1)) ids_elf;
+  release ids_elf;
   (* Phased survival products: the same multiply, restricted to the
-     packages whose phase-P requirement set has the API. Requirer
-     lists are built by prepending over ascending package order —
-     descending indexes, the exact shape (and so the exact float fold
-     order) of the store's dependents lists behind [survival]. *)
-  let phased_survival pick =
-    let reqrs : int list array = Array.make n_apis [] in
-    Array.iteri
-      (fun i (p : Store.pkg_row) ->
-        Api.Set.iter
-          (fun a ->
-            let id = Api.Tbl.find api_ids a in
-            reqrs.(id) <- i :: reqrs.(id))
-          (pick p))
-      store.Store.packages;
-    whole (Bigarray.Array1.init Bigarray.float64 Bigarray.c_layout n_apis
-             (fun id -> survival_of reqrs.(id)))
+     packages whose phase-P requirement set has the API. The store's
+     dependents lists behind [survival] run in descending package
+     order, so each API's factors are multiplied in over descending
+     packages here too — the exact float fold order, with no requirer
+     lists built. *)
+  let phased_survival ids =
+    let surv = new_floats n_apis 1.0 in
+    for i = n - 1 downto 0 do
+      let q = 1.0 -. probs.{i} in
+      Array.iter (fun id -> surv.{id} <- surv.{id} *. q) ids.(i)
+    done;
+    whole surv
   in
-  let survival_init = phased_survival (fun p -> p.Store.pr_init) in
-  let survival_serving = phased_survival (fun p -> p.Store.pr_serving) in
+  let survival_init = phased_survival ids_init in
+  let survival_serving = phased_survival ids_serving in
   (* Resolvable dependency edges and the SCC condensation — shared by
      every phase: temporal attribution changes which APIs a package
      requires, never which packages it depends on. *)
@@ -466,58 +491,58 @@ let index ?domains (store : Store.t) : t =
       classes;
     (nc, nw, whole flat, common)
   in
-  (* One (API-universe, syscall-universe) class-index pair per phase.
-     Direct requirement bitsets come from [pick], fanned out by
-     package range (each package's bits are independent of every
-     other's); closures, dedup and flattening run on them exactly as
-     the unphased build always has — the [All] pair reads [pr_apis]
-     through the same code path, so its arrays are bit-identical to
-     the pre-phase index. *)
-  let build_pair pick =
-    let req = Array.make n (Bitset.create 0) in
-    Parmap.map ?domains
-      (fun (lo, hi) ->
-        let rows = Array.make (hi - lo) (Bitset.create 0) in
-        for i = lo to hi - 1 do
-          let bits = Bitset.create n_apis in
-          Api.Set.iter
-            (fun a -> Bitset.add bits (Api.Tbl.find api_ids a))
-            (pick store.Store.packages.(i));
-          rows.(i - lo) <- bits
-        done;
-        (lo, rows))
-      (ranges n)
-    |> List.iter (fun (lo, rows) -> Array.blit rows 0 req lo (Array.length rows));
-    (* Closure per component, successors first (their ids are smaller):
-       a word-wise union of the members' direct bits and the successor
-       components' already-final closures. *)
-    let comp_req = Array.make n_comps (Bitset.create 0) in
+  (* Closure per component, successors first (their ids are smaller):
+     a word-wise union of the members' direct bits and the successor
+     components' already-final closures. *)
+  let closure universe (direct : Bitset.t array) =
+    let comp_bits = Array.make n_comps (Bitset.create 0) in
     for c = 0 to n_comps - 1 do
-      let bits = Bitset.create n_apis in
+      let bits = Bitset.create universe in
       List.iter
         (fun i ->
-          Bitset.union_into ~into:bits req.(i);
+          Bitset.union_into ~into:bits direct.(i);
           Array.iter
             (fun j ->
               if comp.(j) <> c then
-                Bitset.union_into ~into:bits comp_req.(comp.(j)))
+                Bitset.union_into ~into:bits comp_bits.(comp.(j)))
             succ.(i))
         members.(c);
-      comp_req.(c) <- bits
+      comp_bits.(c) <- bits
     done;
-    (* Syscall-specialized copies over the number universe. *)
-    let comp_sys =
-      Array.map
-        (fun bits ->
+    comp_bits
+  in
+  (* One (API-universe, syscall-universe) class-index pair per phase.
+     Direct requirement bitsets come from a phase's id arrays, fanned
+     out by package range (each package's bits are independent of
+     every other's); closures, dedup and flattening run on them
+     exactly as the unphased build always has — the [All] pair reads
+     [pr_apis] through the same code path, so its arrays are
+     bit-identical to the pre-phase index. The syscall rows are the
+     API rows projected onto the syscall-number universe before the
+     closure: projection distributes over union, so closing the
+     projected rows gives the projection of each closure, and the
+     classes are the same. *)
+  let build_pair ids =
+    let req = Array.make n (Bitset.create 0) in
+    let sys = Array.make n (Bitset.create 0) in
+    Parmap.map ?domains
+      (fun (lo, hi) ->
+        for i = lo to hi - 1 do
+          let bits = Bitset.create n_apis in
           let nrs = Bitset.create (max_nr + 1) in
-          Bitset.iter
-            (fun id -> if sys_nr.(id) >= 0 then Bitset.add nrs sys_nr.(id))
-            bits;
-          nrs)
-        comp_req
-    in
-    let class_req, req_class_of_comp = dedup comp_req in
-    let class_sys, sys_class_of_comp = dedup comp_sys in
+          Array.iter
+            (fun id ->
+              Bitset.add bits id;
+              if sys_nr.(id) >= 0 then Bitset.add nrs sys_nr.(id))
+            ids.(i);
+          req.(i) <- bits;
+          sys.(i) <- nrs
+        done)
+      (ranges n)
+    |> ignore;
+    release ids;
+    let class_req, req_class_of_comp = dedup (closure n_apis req) in
+    let class_sys, sys_class_of_comp = dedup (closure (max_nr + 1) sys) in
     let mk classes class_of_comp =
       let nc, nw, flat, common = flatten classes in
       {
@@ -533,9 +558,9 @@ let index ?domains (store : Store.t) : t =
     in
     (mk class_req req_class_of_comp, mk class_sys sys_class_of_comp)
   in
-  let req_all, sys_all = build_pair (fun p -> p.Store.pr_apis) in
-  let req_init, sys_init = build_pair (fun p -> p.Store.pr_init) in
-  let req_serving, sys_serving = build_pair (fun p -> p.Store.pr_serving) in
+  let req_all, sys_all = build_pair ids_all in
+  let req_init, sys_init = build_pair ids_init in
+  let req_serving, sys_serving = build_pair ids_serving in
   let den = ref 0.0 in
   for i = 0 to n - 1 do
     den := !den +. probs.{i}
@@ -630,7 +655,7 @@ let survival_array t = function
   | Serving -> t.survival_serving
 
 let survival ?(phase = All) t api =
-  match Api.Tbl.find_opt t.api_ids api with
+  match Ids.find_opt t.api_ids api with
   | Some id -> fget (survival_array t phase) id
   | None -> 1.0
 
@@ -638,7 +663,7 @@ let importance ?phase t api = 1.0 -. survival ?phase t api
 
 let unweighted t api =
   let k =
-    match Api.Tbl.find_opt t.api_ids api with
+    match Ids.find_opt t.api_ids api with
     | Some id -> wget t.dep_count id
     | None -> 0
   in
@@ -646,7 +671,7 @@ let unweighted t api =
 
 let unweighted_elf t api =
   let k =
-    match Api.Tbl.find_opt t.api_ids api with
+    match Ids.find_opt t.api_ids api with
     | Some id -> wget t.elf_count id
     | None -> 0
   in
@@ -661,7 +686,7 @@ let top_n t n =
 let dependents_ranked ?limit t api =
   Stage.incr "query:dependents";
   let ids =
-    match Api.Tbl.find_opt t.api_ids api with
+    match Ids.find_opt t.api_ids api with
     | None -> []
     | Some id ->
       let lo = wget t.deps_off id in
@@ -1004,7 +1029,7 @@ let bins_section t (rows : bin_sets array) =
     let extra = ref [] in
     Api.Set.iter
       (fun a ->
-        match Api.Tbl.find_opt t.api_ids a with
+        match Ids.find_opt t.api_ids a with
         | Some id -> Bitset.add bits id
         | None -> extra := a :: !extra)
       set;
@@ -1028,13 +1053,25 @@ let bins_section t (rows : bin_sets array) =
       pool_rev := enc :: !pool_rev;
       id
   in
+  (* A phase set physically equal to one already encoded for the row
+     (a library's three sets are one value) reuses its pool id. Pool
+     ids are handed out serving, init, all: the order the image bytes
+     have always had, fixed by the right-to-left evaluation of the
+     tuple this loop once built. *)
   let triples =
     Array.map
       (fun r ->
-        ( r.bs_digest,
-          pool_id (encode_set r.bs_all),
-          pool_id (encode_set r.bs_init),
-          pool_id (encode_set r.bs_serving) ))
+        let serving = pool_id (encode_set r.bs_serving) in
+        let init =
+          if r.bs_init == r.bs_serving then serving
+          else pool_id (encode_set r.bs_init)
+        in
+        let all =
+          if r.bs_all == r.bs_serving then serving
+          else if r.bs_all == r.bs_init then init
+          else pool_id (encode_set r.bs_all)
+        in
+        (r.bs_digest, all, init, serving))
       rows
   in
   let b = Buffer.create 4096 in
@@ -1380,11 +1417,11 @@ let load_image_src (src : image_source) : t =
     class_meta.(k) <- (nc, nw)
   done;
   if c.Wire.pos <> c.Wire.stop then corrupt "image: meta section underrun";
-  let api_ids = Api.Tbl.create (max 16 n_apis) in
+  let api_ids = Ids.create (max 16 n_apis) in
   Array.iteri
     (fun id a ->
-      if Api.Tbl.mem api_ids a then corrupt "image: duplicate api in dictionary";
-      Api.Tbl.add api_ids a id)
+      if Ids.mem api_ids a then corrupt "image: duplicate api in dictionary";
+      Ids.add api_ids a id)
     apis;
   (* numeric planes *)
   let words_sec id what count =

@@ -174,22 +174,41 @@ let run ?(config = default) (dist : P.distribution) : analyzed =
       ~libc_family:(fun soname -> List.mem soname runtime_sonames)
       (runtime_bins @ List.map (fun (s, _, b) -> (s, b)) app_lib_bins)
   in
+  (* Classify and digest every package file once; the pending scan, the
+     cache lookup and the binary rows below all read the pair. Only
+     [Data] files go without a digest: no row or cache entry keys on
+     them. *)
+  let classified =
+    List.map
+      (fun (pkg : P.t) ->
+        ( pkg,
+          List.map
+            (fun (f : P.file) ->
+              let cls = Lapis_elf.Classify.classify f.P.bytes in
+              let digest =
+                match cls with
+                | Lapis_elf.Classify.Data -> ""
+                | _ -> Digest.string f.P.bytes
+              in
+              (f, cls, digest))
+            pkg.P.files ))
+      dist.P.packages
+  in
   (* 2. per-binary analysis: collect the distinct ELF payloads not
      already analyzed for the world (first-seen order), analyze them —
      fanned out across domains when the host has more than one — and
      serve the aggregation loop from the digest table. *)
   let analysis_for =
-    if not cache then fun (f : P.file) -> analyze_elf f.P.bytes
+    if not cache then fun (f : P.file) _ -> analyze_elf f.P.bytes
     else begin
       let pending = ref [] in
       List.iter
-        (fun (pkg : P.t) ->
+        (fun (_, files) ->
           List.iter
-            (fun (f : P.file) ->
-              match Lapis_elf.Classify.classify f.P.bytes with
+            (fun ((f : P.file), cls, d) ->
+              match cls with
               | Lapis_elf.Classify.Elf_static | Lapis_elf.Classify.Elf_dynamic
               | Lapis_elf.Classify.Elf_shared_lib ->
-                let d = Digest.string f.P.bytes in
                 note_payload d;
                 if not (Hashtbl.mem analysis_of d) then begin
                   (* placeholder marks the digest as claimed; replaced
@@ -198,8 +217,8 @@ let run ?(config = default) (dist : P.distribution) : analyzed =
                   pending := (d, f.P.bytes) :: !pending
                 end
               | Lapis_elf.Classify.Script _ | Lapis_elf.Classify.Data -> ())
-            pkg.P.files)
-        dist.P.packages;
+            files)
+        classified;
       let pending = List.rev !pending in
       List.iter2
         (fun (d, _) r -> Hashtbl.replace analysis_of d r)
@@ -207,8 +226,8 @@ let run ?(config = default) (dist : P.distribution) : analyzed =
         (Lapis_perf.Parmap.map ?domains
            (fun (_, bytes) -> analyze_elf bytes)
            pending);
-      fun (f : P.file) ->
-        match Hashtbl.find_opt analysis_of (Digest.string f.P.bytes) with
+      fun (f : P.file) d ->
+        match Hashtbl.find_opt analysis_of d with
         | Some r -> r
         | None -> analyze_elf f.P.bytes
     end
@@ -222,16 +241,15 @@ let run ?(config = default) (dist : P.distribution) : analyzed =
   let elf_init = Hashtbl.create 256 in
   let elf_serving = Hashtbl.create 256 in
   List.iter
-    (fun (pkg : P.t) ->
+    (fun ((pkg : P.t), files) ->
       let apis = ref Api.Set.empty in
       let apis_init = ref Api.Set.empty in
       let apis_serving = ref Api.Set.empty in
       List.iter
-        (fun (f : P.file) ->
-          let cls = Lapis_elf.Classify.classify f.P.bytes in
+        (fun ((f : P.file), cls, digest) ->
           match cls with
           | Lapis_elf.Classify.Elf_static | Lapis_elf.Classify.Elf_dynamic ->
-            (match analysis_for f with
+            (match analysis_for f digest with
              | Error kind -> record_reject kind
              | Ok bin ->
                let resolved =
@@ -250,7 +268,7 @@ let run ?(config = default) (dist : P.distribution) : analyzed =
                    Store.br_path = f.P.path;
                    br_package = pkg.P.name;
                    br_class = cls;
-                   br_digest = Digest.string f.P.bytes;
+                   br_digest = digest;
                    br_direct = Resolve.direct_footprint bin;
                    br_resolved = resolved;
                    br_init = init;
@@ -260,7 +278,7 @@ let run ?(config = default) (dist : P.distribution) : analyzed =
           | Lapis_elf.Classify.Elf_shared_lib ->
             (* analyzed for attribution, excluded from the package
                footprint (Section 2: union over standalone executables) *)
-            (match analysis_for f with
+            (match analysis_for f digest with
              | Error kind -> record_reject kind
              | Ok bin ->
                let resolved =
@@ -272,7 +290,7 @@ let run ?(config = default) (dist : P.distribution) : analyzed =
                    Store.br_path = f.P.path;
                    br_package = pkg.P.name;
                    br_class = cls;
-                   br_digest = Digest.string f.P.bytes;
+                   br_digest = digest;
                    br_direct = Resolve.direct_footprint bin;
                    br_resolved = resolved;
                    (* a library has no phase of its own: its items are
@@ -299,7 +317,7 @@ let run ?(config = default) (dist : P.distribution) : analyzed =
                 Store.br_path = f.P.path;
                 br_package = pkg.P.name;
                 br_class = cls;
-                br_digest = Digest.string f.P.bytes;
+                br_digest = digest;
                 br_direct = Footprint.empty;
                 br_resolved = Footprint.empty;
                 br_init = Api.Set.empty;
@@ -317,11 +335,11 @@ let run ?(config = default) (dist : P.distribution) : analyzed =
               | Error e -> record_reject Reader.(kind_name (kind e))
               | Ok _ -> ()
             end)
-        pkg.P.files;
+        files;
       Hashtbl.replace elf_apis pkg.P.name !apis;
       Hashtbl.replace elf_init pkg.P.name !apis_init;
       Hashtbl.replace elf_serving pkg.P.name !apis_serving)
-    dist.P.packages;
+    classified;
   (* runtime binaries belong to libc6, for direct attribution *)
   List.iter
     (fun (soname, bin) ->

@@ -312,9 +312,69 @@ let test_normalize () =
   Alcotest.(check string) "plain symbols unchanged" "printf"
     (Libc_variants.normalize "printf")
 
+(* --- API order ------------------------------------------------------- *)
+
+(* [Api.compare] is hand-written; every set, map, snapshot byte and
+   interned id depends on it ordering exactly as [Stdlib.compare] does.
+   Pairs share one payload under different constructors ([Syscall 16]
+   and [Vop (Ioctl, 16)], one string as a path and as a symbol) half
+   the time; strings include the empty string and prefixes of each
+   other. *)
+let gen_api_pair =
+  let open QCheck2.Gen in
+  let num =
+    oneof [ oneofl [ 0; 16; 72; 157; -1; max_int; min_int ]; int_range (-3) 300 ]
+  in
+  let str =
+    oneof
+      [ oneofl [ ""; "a"; "ab"; "abc"; "b"; "/proc"; "/proc/self"; "\255" ];
+        string_size ~gen:(char_range 'a' 'c') (int_bound 4) ]
+  in
+  let vector = oneofl [ Api.Ioctl; Api.Fcntl; Api.Prctl ] in
+  let any =
+    oneof
+      [ map (fun n -> Api.Syscall n) num;
+        map2 (fun v n -> Api.Vop (v, n)) vector num;
+        map (fun s -> Api.Pseudo_file s) str;
+        map (fun s -> Api.Libc_sym s) str ]
+  in
+  let shared =
+    let* n = num and* s = str in
+    let same =
+      oneofl
+        [ Api.Syscall n; Api.Vop (Api.Ioctl, n); Api.Vop (Api.Fcntl, n);
+          Api.Vop (Api.Prctl, n); Api.Pseudo_file s; Api.Libc_sym s ]
+    in
+    pair same same
+  in
+  oneof [ pair any any; shared ]
+
+let prop_compare_is_stdlib =
+  QCheck2.Test.make ~count:2000 ~name:"Api.compare orders as Stdlib.compare"
+    ~print:(fun (a, b) -> Api.to_string a ^ " vs " ^ Api.to_string b)
+    gen_api_pair
+    (fun (a, b) ->
+      let sign c = Stdlib.compare c 0 in
+      sign (Api.compare a b) = sign (Stdlib.compare a b)
+      && sign (Api.compare b a) = sign (Stdlib.compare b a)
+      && Api.equal a b = (a = b))
+
+let test_compare_examples () =
+  check_bool "Syscall 16 < Vop (Ioctl, 16)" true
+    (Api.compare (Api.Syscall 16) (Api.Vop (Api.Ioctl, 16)) < 0);
+  check_bool "Syscall 16 <> Vop (Ioctl, 16)" false
+    (Api.equal (Api.Syscall 16) (Api.Vop (Api.Ioctl, 16)));
+  check_bool "Pseudo_file x < Libc_sym x" true
+    (Api.compare (Api.Pseudo_file "x") (Api.Libc_sym "x") < 0);
+  check_bool "prefix first" true
+    (Api.compare (Api.Libc_sym "ab") (Api.Libc_sym "abc") < 0)
+
 let () =
   Alcotest.run "apidb"
-    [ ( "syscall-table",
+    [ ( "api-order",
+        [ QCheck_alcotest.to_alcotest prop_compare_is_stdlib;
+          Alcotest.test_case "examples" `Quick test_compare_examples ] );
+      ( "syscall-table",
         [ Alcotest.test_case "size" `Quick test_table_size;
           Alcotest.test_case "roundtrip" `Quick test_table_roundtrip;
           Alcotest.test_case "known numbers" `Quick test_known_numbers;

@@ -136,6 +136,30 @@ let test_word_boundaries () =
       Alcotest.(check bool) "subset of full" true (Bitset.subset b full))
     [ 1; 62; 63; 64; 126; 127 ]
 
+(* [iter]/[fold] index each set bit in constant time; the positions
+   where that index is easiest to get wrong are the word's first bit,
+   its last two (bit 62 is the native int's sign bit) and the first
+   bit of the next word. *)
+let test_iter_bit_positions () =
+  let check u ids =
+    let b = Bitset.of_list u ids in
+    let name =
+      Printf.sprintf "u=%d %s" u (String.concat "," (List.map string_of_int ids))
+    in
+    Alcotest.(check (list int)) (name ^ " iter") ids
+      (List.rev (Bitset.fold (fun i acc -> i :: acc) b []));
+    Alcotest.(check (array int)) (name ^ " to_sorted_array") (Array.of_list ids)
+      (Bitset.to_sorted_array b);
+    match Bitset.of_bytes u (Bitset.to_bytes b) with
+    | Ok b' -> Alcotest.(check bool) (name ^ " bytes") true (Bitset.equal b b')
+    | Error msg -> Alcotest.fail msg
+  in
+  List.iter (fun i -> check 63 [ i ]) [ 0; 61; 62 ];
+  check 63 [ 0; 61; 62 ];
+  check 126 [ 63 ];
+  check 126 [ 0; 61; 62; 63; 124; 125 ];
+  check 126 (List.init 126 Fun.id)
+
 let test_of_bytes_rejects () =
   let b = Bitset.of_list 10 [ 0; 9 ] in
   let wire = Bitset.to_bytes b in
@@ -165,6 +189,7 @@ let () =
             prop_key_iff_equal ] );
       ( "edges",
         [ Alcotest.test_case "word boundaries" `Quick test_word_boundaries;
+          Alcotest.test_case "iter bit positions" `Quick test_iter_bit_positions;
           Alcotest.test_case "of_bytes rejects" `Quick test_of_bytes_rejects;
           Alcotest.test_case "add out of universe" `Quick
             test_add_out_of_universe ] )

@@ -504,6 +504,86 @@ let test_qcheck_built_mapped_agree () =
   in
   QCheck_alcotest.to_alcotest cell
 
+(* The writer's output is pinned byte for byte: MD5s of the image of a
+   fixed generated world, of one of its range slices, and of a
+   hand-built store whose phase sets (and binary sets) hold APIs
+   outside every package footprint, which intern after the footprint
+   APIs in first-seen order. Any change to API interning order, class
+   numbering or the bins pool order moves them. *)
+let hand_store () =
+  let set = Api.Set.of_list in
+  let pkg name ~deps ~apis ~elf ~init ~serving =
+    {
+      Store.pr_name = name;
+      pr_installs = 100 + String.length name;
+      pr_prob = float_of_int (100 + String.length name) /. 1000.0;
+      pr_deps = deps;
+      pr_essential = false;
+      pr_apis = set apis;
+      pr_apis_elf = set elf;
+      pr_init = set init;
+      pr_serving = set serving;
+    }
+  in
+  let read = Api.Syscall 0 and write = Api.Syscall 1 in
+  let ioctl = Api.Vop (Api.Ioctl, 0x5401) in
+  let malloc = Api.Libc_sym "malloc" in
+  let maps = Api.Pseudo_file "/proc/self/maps" in
+  let bin path pkg ~cls ~all ~init ~serving =
+    {
+      Store.br_path = path;
+      br_package = pkg;
+      br_class = cls;
+      br_digest = Digest.string path;
+      br_direct = { Core.Analysis.Footprint.empty with apis = all };
+      br_resolved = { Core.Analysis.Footprint.empty with apis = all };
+      br_init = init;
+      br_serving = serving;
+    }
+  in
+  let lib_apis = set [ read; malloc ] in
+  Store.build ~total_installs:1000
+    ~packages:
+      [
+        pkg "base" ~deps:[] ~apis:[ read; write; malloc ] ~elf:[ read; malloc ]
+          ~init:[ read; Api.Syscall 60 ] ~serving:[ write; maps ];
+        pkg "app" ~deps:[ "base"; "missing" ] ~apis:[ Api.Syscall 2; ioctl ]
+          ~elf:[ Api.Syscall 2; ioctl ] ~init:[ ioctl; Api.Syscall 16 ]
+          ~serving:[ Api.Syscall 2 ];
+        pkg "cycle-a" ~deps:[ "cycle-b" ] ~apis:[ write ] ~elf:[ write ]
+          ~init:[ write ] ~serving:[ write ];
+        pkg "cycle-b" ~deps:[ "cycle-a"; "app" ] ~apis:[ read; maps ] ~elf:[]
+          ~init:[ read; maps ] ~serving:[ maps ];
+      ]
+    ~bins:
+      [
+        bin "/usr/lib/libbase.so" "base" ~cls:Core.Elf.Classify.Elf_shared_lib
+          ~all:lib_apis ~init:lib_apis ~serving:lib_apis;
+        bin "/usr/bin/app" "app" ~cls:Core.Elf.Classify.Elf_dynamic
+          ~all:(set [ Api.Syscall 2; ioctl ])
+          ~init:(set [ ioctl; Api.Syscall 99 ])
+          ~serving:(set [ Api.Syscall 2 ]);
+        bin "/usr/bin/a" "cycle-a" ~cls:Core.Elf.Classify.Elf_dynamic
+          ~all:(set [ write ]) ~init:(set [ write ]) ~serving:Api.Set.empty;
+        bin "/usr/bin/b.sh" "cycle-b"
+          ~cls:(Core.Elf.Classify.Script Core.Elf.Classify.Dash)
+          ~all:Api.Set.empty ~init:Api.Set.empty ~serving:Api.Set.empty;
+      ]
+
+let test_image_byte_goldens () =
+  let md5 = function
+    | Ok s -> Digest.to_hex (Digest.string s)
+    | Error e -> Alcotest.failf "to_image_string: %a" Snapshot.pp_error e
+  in
+  Alcotest.(check string) "300-package world" "c23bf817bd277a271b90d48da765dd21"
+    (md5 (Ok (Lazy.force image)));
+  Alcotest.(check string) "slice [100, 200)" "f26ad92cde01ea1555dab9f5620ffa8c"
+    (md5 (Query.to_image_string ~seed:42 ~source_key:"test" ~range:(100, 200)
+            (index ())));
+  Alcotest.(check string) "hand-built store" "88ecbe636d7af4675ccedad8da91c236"
+    (md5 (Query.to_image_string ~seed:7 ~source_key:"hand"
+            (Query.index (hand_store ()))))
+
 let () =
   Alcotest.run "image"
     [
@@ -514,6 +594,7 @@ let () =
           Alcotest.test_case "overwrite while mapped" `Quick
             test_overwrite_while_mapped;
           Alcotest.test_case "version routing" `Quick test_file_version_routes;
+          Alcotest.test_case "byte goldens" `Quick test_image_byte_goldens;
         ] );
       ( "damage",
         [
