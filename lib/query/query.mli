@@ -214,7 +214,7 @@ val find_bin :
 
 val image_version : int
 (** 4 — the version word distinguishing index images from the
-    decode-and-build row snapshot formats 1–3. *)
+    decode-and-build row snapshot format (6). *)
 
 val to_image_string : ?seed:int -> ?source_key:string -> ?range:int * int -> t -> (string, Lapis_store.Snapshot.error) result
 (** Serialize to the image wire format. [seed]/[source_key] stamp the

@@ -1,8 +1,7 @@
-(** See the interface for semantics. Threading model: the front
-    (accept loop, per-connection readers, response resequencing) is
-    the {!Server} pattern, but the pool is plain threads — gather
-    work is IO-bound waiting on shard sockets, not CPU-bound
-    evaluation. Each shard has one pipelined connection: a mutex
+(** See the interface for semantics. Client connections go through
+    the {!Front} with worker threads (gather work is IO-bound, waiting
+    on shard sockets) and a shedding queue; this module is the
+    handler. Each shard has one pipelined connection: a mutex
     serializes writes, a reader thread completes waiters by
     router-assigned id, and a receive timeout turns a stalled shard
     into failed calls rather than hung ones. Invariants:
@@ -156,13 +155,6 @@ let fail_conn sh gen msg =
         else [])
   in
   List.iter (fun w -> complete_waiter w (Error msg)) waiters
-
-let write_all fd s =
-  let len = String.length s in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + Unix.write_substring fd s !off (len - !off)
-  done
 
 let rec read_exact fd buf off len =
   if len = 0 then true
@@ -341,7 +333,7 @@ let drain_outq sh =
           String.concat ""
             (List.map (fun item -> P.Bin.encode_request (mk item)) many)
       in
-      (match write_all fd bytes with
+      (match Front.write_all fd bytes with
        | () -> loop ()
        | exception _ ->
          let waiters =
@@ -397,77 +389,16 @@ let call_retry ~timeout sh req =
 (* Router state                                                        *)
 (* ------------------------------------------------------------------ *)
 
-type conn = {
-  fd : Unix.file_descr;
-  cmutex : Mutex.t;
-  mutable next_seq : int;
-  mutable next_write : int;
-  pending : (int, string) Hashtbl.t;
-  mutable outstanding : int;
-  mutable reader_done : bool;
-  mutable dead : bool;
-  mutable closed : bool;
-}
-
-type msg = Line of string | Frame of string | Broken of string
-
-type job = Job of conn * int * msg | Quit
-
 type t = {
   cfg : config;
-  lsock : Unix.file_descr;
-  bound_port : int;
+  front : Front.t;
   shards : shard array;
   ranges : (shard * (int * int)) array;  (* range order = merge order *)
   sliced : bool;  (* shards serve range-sliced images, not full copies *)
   meta : int * int * int * int;  (* packages, apis, binaries, installs *)
   cache : (string, (P.reply, P.err) result) Lru.t option;
   rr : int Atomic.t;  (* round-robin cursor for forwarded ops *)
-  queue : job Queue.t;
-  qmutex : Mutex.t;
-  not_empty : Condition.t;
-  stop_flag : bool Atomic.t;
-  shutdown_started : bool Atomic.t;
-  accepted : int Atomic.t;
-  conns_mutex : Mutex.t;
-  mutable conns : conn list;
-  mutable readers : Thread.t list;
-  mutable workers : Thread.t list;
-  mutable accept_thread : Thread.t option;
-  mutable health_thread : Thread.t option;
-  fin_mutex : Mutex.t;
-  fin_cv : Condition.t;
-  mutable finished : bool;
 }
-
-(* Admission control: never blocks. [false] means the queue is full
-   and the caller must shed. *)
-let try_enqueue t job =
-  Mutex.protect t.qmutex (fun () ->
-      if Queue.length t.queue >= t.cfg.queue_bound then false
-      else begin
-        Queue.push job t.queue;
-        Condition.signal t.not_empty;
-        true
-      end)
-
-(* Shutdown control jobs bypass the bound — a full queue must never
-   be able to strand a worker. *)
-let enqueue_ctl t job =
-  Mutex.protect t.qmutex (fun () ->
-      Queue.push job t.queue;
-      Condition.signal t.not_empty)
-
-let dequeue t =
-  Mutex.lock t.qmutex;
-  while Queue.is_empty t.queue do
-    Condition.wait t.not_empty t.qmutex
-  done;
-  let job = Queue.pop t.queue in
-  Mutex.unlock t.qmutex;
-  job
-
-let queue_depth t = Mutex.protect t.qmutex (fun () -> Queue.length t.queue)
 
 (* ------------------------------------------------------------------ *)
 (* Request handling                                                    *)
@@ -683,11 +614,8 @@ let forward t req =
       (Printf.sprintf "shard %s unavailable: %s" (shard_name sh) msg)
 
 let router_gauges t () =
-  [
-    ("queue_depth", float_of_int (queue_depth t));
-    ("queue_capacity", float_of_int t.cfg.queue_bound);
-    ("workers", float_of_int t.cfg.workers);
-    ("connections", float_of_int (Atomic.get t.accepted));
+  Front.gauges t.front
+  @ [
     ("shards", float_of_int (Array.length t.shards));
     ("shards_healthy", float_of_int (healthy_count t));
     ("shed", float_of_int (Stage.counter "router:shed"));
@@ -791,171 +719,24 @@ and handle_request t (request : P.request) : P.response =
   in
   { P.rs_id = request.P.rq_id; rs_result = result }
 
-let answer t msg =
-  Stage.incr "router:requests";
-  match msg with
-  | Line line ->
-    let response =
-      match Json.parse line with
-      | Error m -> P.error_response ~kind:P.parse_error m
-      | Ok j ->
-        (match P.request_of_json j with
-         | Error e -> e
-         | Ok request -> handle_request t request)
-    in
-    Json.to_string (P.json_of_response response) ^ "\n"
-  | Frame payload ->
-    let response =
-      match P.Bin.decode_request payload with
-      | Error m -> P.error_response ~kind:P.parse_error m
-      | Ok request -> handle_request t request
-    in
-    P.Bin.encode_response response
-  | Broken m ->
-    P.Bin.encode_response (P.error_response ~kind:P.parse_error m)
-
-(* The shed response still flows through the resequencer, so a client
-   pipelining requests sees its responses — served and shed alike —
-   in send order. The id is recovered with a best-effort parse (the
-   queue is full; the worker pool never sees this request). *)
-let shed_response msg =
-  match msg with
-  | Line line ->
-    let id =
-      match Json.parse line with
-      | Ok j -> Json.member "id" j
-      | Error _ -> None
-    in
-    Json.to_string
-      (P.json_of_response
-         (P.error_response ?id ~kind:P.overloaded "router queue full"))
-    ^ "\n"
-  | Frame payload ->
-    let id =
-      match P.Bin.decode_request payload with
-      | Ok r -> r.P.rq_id
-      | Error _ -> None
-    in
-    P.Bin.encode_response
-      (P.error_response ?id ~kind:P.overloaded "router queue full")
-  | Broken m ->
-    P.Bin.encode_response (P.error_response ~kind:P.parse_error m)
-
-(* ------------------------------------------------------------------ *)
-(* Client connections (the Server front, with shedding)                *)
-(* ------------------------------------------------------------------ *)
-
-let maybe_close conn =
-  if conn.reader_done && conn.outstanding = 0 && not conn.closed then begin
-    conn.closed <- true;
-    try Unix.close conn.fd with Unix.Unix_error _ -> ()
-  end
-
-let deliver conn seq bytes =
-  Mutex.lock conn.cmutex;
-  Hashtbl.replace conn.pending seq bytes;
-  let continue = ref true in
-  while !continue do
-    match Hashtbl.find_opt conn.pending conn.next_write with
-    | None -> continue := false
-    | Some response ->
-      Hashtbl.remove conn.pending conn.next_write;
-      conn.next_write <- conn.next_write + 1;
-      conn.outstanding <- conn.outstanding - 1;
-      if not (conn.dead || conn.closed) then (
-        try write_all conn.fd response
-        with Unix.Unix_error _ | Sys_error _ -> conn.dead <- true)
-  done;
-  maybe_close conn;
-  Mutex.unlock conn.cmutex
-
-let submit t conn msg =
-  Mutex.lock conn.cmutex;
-  let seq = conn.next_seq in
-  conn.next_seq <- seq + 1;
-  conn.outstanding <- conn.outstanding + 1;
-  Mutex.unlock conn.cmutex;
-  if not (try_enqueue t (Job (conn, seq, msg))) then begin
-    Stage.incr "router:shed";
-    deliver conn seq (shed_response msg)
-  end
-
-let json_reader t conn ic ~first =
-  (match first with
-   | Some line when String.trim line <> "" -> submit t conn (Line line)
-   | _ -> ());
-  let continue = ref true in
-  while !continue do
-    match In_channel.input_line ic with
-    | None -> continue := false
-    | Some line -> if String.trim line <> "" then submit t conn (Line line)
-  done
-
-let binary_reader t conn ic =
-  let rec go input =
-    match input ic with
-    | Ok payload ->
-      submit t conn (Frame payload);
-      go P.Bin.input_frame
-    | Error `Eof -> ()
-    | Error (`Bad msg) -> submit t conn (Broken msg)
-  in
-  go P.Bin.input_frame_body
-
-let client_reader t conn () =
-  let ic = Unix.in_channel_of_descr conn.fd in
-  (try
-     match input_char ic with
-     | exception End_of_file -> ()
-     | c when c = P.Bin.magic -> binary_reader t conn ic
-     | '\n' -> json_reader t conn ic ~first:None
-     | c ->
-       let rest = Option.value ~default:"" (In_channel.input_line ic) in
-       json_reader t conn ic ~first:(Some (String.make 1 c ^ rest))
-   with Sys_error _ | Unix.Unix_error _ -> ());
-  Mutex.lock conn.cmutex;
-  conn.reader_done <- true;
-  maybe_close conn;
-  Mutex.unlock conn.cmutex
-
-let worker t () =
-  let rec go () =
-    match dequeue t with
-    | Quit -> ()
-    | Job (conn, seq, msg) ->
-      let response =
-        try answer t msg
-        with e ->
-          let r =
-            P.error_response ~kind:P.internal_error (Printexc.to_string e)
-          in
-          (match msg with
-           | Line _ -> Json.to_string (P.json_of_response r) ^ "\n"
-           | Frame _ | Broken _ -> P.Bin.encode_response r)
-      in
-      deliver conn seq response;
-      go ()
-  in
-  go ()
-
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let port t = t.bound_port
-let connections_served t = Atomic.get t.accepted
+let port t = Front.port t.front
+let connections_served t = Front.connections_served t.front
 let n_shards t = Array.length t.shards
 let healthy_shards t = healthy_count t
 
 let health_loop t () =
-  while not (Atomic.get t.stop_flag) do
+  while not (Front.stopping t.front) do
     (* Sleep in small steps so shutdown is prompt. *)
     let slept = ref 0.0 in
-    while !slept < t.cfg.health_period && not (Atomic.get t.stop_flag) do
+    while !slept < t.cfg.health_period && not (Front.stopping t.front) do
       Unix.sleepf 0.05;
       slept := !slept +. 0.05
     done;
-    if not (Atomic.get t.stop_flag) then
+    if not (Front.stopping t.front) then
       Array.iter
         (fun sh ->
           match call ~timeout:t.cfg.shard_timeout sh P.Ping with
@@ -966,112 +747,19 @@ let health_loop t () =
         t.shards
   done
 
-let drain t =
-  Mutex.lock t.conns_mutex;
-  let conns = t.conns and readers = t.readers in
-  Mutex.unlock t.conns_mutex;
-  List.iter
-    (fun c ->
-      Mutex.lock c.cmutex;
-      if not c.closed then (
-        try Unix.shutdown c.fd Unix.SHUTDOWN_RECEIVE
-        with Unix.Unix_error _ -> ());
-      Mutex.unlock c.cmutex)
-    conns;
-  List.iter Thread.join readers;
-  List.iter (fun _ -> enqueue_ctl t Quit) t.workers;
-  List.iter Thread.join t.workers;
-  (match t.health_thread with Some th -> Thread.join th | None -> ());
-  List.iter
-    (fun c ->
-      Mutex.lock c.cmutex;
-      if not c.closed then begin
-        c.closed <- true;
-        (try Unix.close c.fd with Unix.Unix_error _ -> ())
-      end;
-      Mutex.unlock c.cmutex)
-    conns;
+(* Runs once the front has stopped: no worker can call a shard any
+   more, so whatever still waits on one is failed, not stranded. *)
+let shutdown_shards t health () =
+  Thread.join health;
   Array.iter
     (fun sh ->
-      let waiters =
-        Mutex.protect sh.sm (fun () -> fail_locked sh)
-      in
+      let waiters = Mutex.protect sh.sm (fun () -> fail_locked sh) in
       List.iter (fun w -> complete_waiter w (Error "router stopped")) waiters)
-    t.shards;
-  Mutex.lock t.fin_mutex;
-  t.finished <- true;
-  Condition.broadcast t.fin_cv;
-  Mutex.unlock t.fin_mutex
+    t.shards
 
-let track t fd =
-  (* Small frames + closed-loop clients: without TCP_NODELAY, Nagle
-     parks each response waiting for a delayed ACK. *)
-  (try Unix.setsockopt fd Unix.TCP_NODELAY true
-   with Unix.Unix_error _ -> ());
-  Atomic.incr t.accepted;
-  Stage.incr "router:connections";
-  let conn =
-    {
-      fd;
-      cmutex = Mutex.create ();
-      next_seq = 0;
-      next_write = 0;
-      pending = Hashtbl.create 8;
-      outstanding = 0;
-      reader_done = false;
-      dead = false;
-      closed = false;
-    }
-  in
-  Mutex.lock t.conns_mutex;
-  t.conns <- conn :: t.conns;
-  t.readers <- Thread.create (client_reader t conn) () :: t.readers;
-  Mutex.unlock t.conns_mutex
-
-let acceptor t () =
-  while not (Atomic.get t.stop_flag) do
-    match Unix.select [ t.lsock ] [] [] 0.1 with
-    | [], _, _ -> ()
-    | _ -> (
-      match Unix.accept t.lsock with
-      | exception Unix.Unix_error _ -> ()
-      | fd, _addr -> track t fd)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done;
-  (* Accept what the backlog already holds before closing the listen
-     socket: those clients' handshakes (and possibly requests) made it
-     in, and closing now would RST them unanswered — the same
-     last-gasp accept {!Server}'s acceptor does. *)
-  let rec drain_backlog () =
-    match Unix.select [ t.lsock ] [] [] 0.0 with
-    | _ :: _, _, _ -> (
-      match Unix.accept t.lsock with
-      | exception Unix.Unix_error _ -> ()
-      | fd, _addr ->
-        track t fd;
-        drain_backlog ())
-    | _ -> ()
-  in
-  (try drain_backlog () with Unix.Unix_error _ -> ());
-  (try Unix.close t.lsock with Unix.Unix_error _ -> ());
-  if Atomic.compare_and_set t.shutdown_started false true then drain t
-
-let wait t =
-  Mutex.lock t.fin_mutex;
-  while not t.finished do
-    Condition.wait t.fin_cv t.fin_mutex
-  done;
-  Mutex.unlock t.fin_mutex
-
-let signal_stop t = Atomic.set t.stop_flag true
-
-let stop t =
-  Atomic.set t.stop_flag true;
-  if Atomic.compare_and_set t.shutdown_started false true then begin
-    (match t.accept_thread with Some th -> Thread.join th | None -> ());
-    drain t
-  end;
-  wait t
+let wait t = Front.wait t.front
+let signal_stop t = Front.signal_stop t.front
+let stop t = Front.stop t.front
 
 let make_shard ~coalesce spec =
   {
@@ -1181,81 +869,42 @@ let plan_ranges n shards slices =
 let start ?(config = default) specs =
   if specs = [] then Error "a fleet needs at least one shard"
   else begin
+    (* The probes below already write to shards: a write to a gone one
+       must get EPIPE, not a fatal signal. *)
     (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
      with Invalid_argument _ -> ());
     let shards =
       Array.of_list (List.map (make_shard ~coalesce:config.batching) specs)
     in
-    match probe_shards ~timeout:config.shard_timeout shards with
-    | Error msg -> Error msg
-    | Ok (meta, slices) ->
-      match plan_ranges meta.P.st_packages shards slices with
-      | Error msg -> Error msg
-      | Ok (sliced, ranges) ->
-      let addr =
-        try Unix.inet_addr_of_string config.host
-        with Failure _ -> Unix.inet_addr_loopback
-      in
-      (match
-         let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-         (try
-            Unix.setsockopt lsock Unix.SO_REUSEADDR true;
-            Unix.bind lsock (Unix.ADDR_INET (addr, config.port));
-            Unix.listen lsock config.backlog
-          with e ->
-            (try Unix.close lsock with Unix.Unix_error _ -> ());
-            raise e);
-         lsock
-       with
-       | exception Unix.Unix_error (e, _, _) ->
-         Error
-           (Printf.sprintf "cannot listen on %s:%d: %s" config.host
-              config.port (Unix.error_message e))
-       | lsock ->
-         let bound_port =
-           match Unix.getsockname lsock with
-           | Unix.ADDR_INET (_, p) -> p
-           | _ -> config.port
-         in
-         let t =
-           {
-             cfg = config;
-             lsock;
-             bound_port;
-             shards;
-             ranges;
-             sliced;
-             meta =
-               ( meta.P.st_packages,
-                 meta.P.st_apis,
-                 meta.P.st_binaries,
-                 meta.P.st_installs );
-             cache =
-               (if config.cache_capacity > 0 then
-                  Some (Lru.create ~capacity:config.cache_capacity)
-                else None);
-             rr = Atomic.make 0;
-             queue = Queue.create ();
-             qmutex = Mutex.create ();
-             not_empty = Condition.create ();
-             stop_flag = Atomic.make false;
-             shutdown_started = Atomic.make false;
-             accepted = Atomic.make 0;
-             conns_mutex = Mutex.create ();
-             conns = [];
-             readers = [];
-             workers = [];
-             accept_thread = None;
-             health_thread = None;
-             fin_mutex = Mutex.create ();
-             fin_cv = Condition.create ();
-             finished = false;
-           }
-         in
-         t.workers <-
-           List.init (max 1 config.workers) (fun _ ->
-               Thread.create (worker t) ());
-         t.health_thread <- Some (Thread.create (health_loop t) ());
-         t.accept_thread <- Some (Thread.create (acceptor t) ());
-         Ok t)
+    let ( let* ) = Result.bind in
+    let* meta, slices = probe_shards ~timeout:config.shard_timeout shards in
+    let* sliced, ranges = plan_ranges meta.P.st_packages shards slices in
+    let* front =
+      Front.create ~name:"router" ~pool:Front.Threads
+        ~workers:(max 1 config.workers) ~queue_bound:config.queue_bound
+        ~on_full:Front.Shed ~host:config.host ~port:config.port
+        ~backlog:config.backlog
+    in
+    let t =
+      {
+        cfg = config;
+        front;
+        shards;
+        ranges;
+        sliced;
+        meta =
+          ( meta.P.st_packages,
+            meta.P.st_apis,
+            meta.P.st_binaries,
+            meta.P.st_installs );
+        cache =
+          (if config.cache_capacity > 0 then
+             Some (Lru.create ~capacity:config.cache_capacity)
+           else None);
+        rr = Atomic.make 0;
+      }
+    in
+    let health = Thread.create (health_loop t) () in
+    Front.run ~on_stopped:(shutdown_shards t health) front (handle_request t);
+    Ok t
   end

@@ -1,12 +1,13 @@
 (** Scatter/gather front-end for a serving fleet — the [lapis fleet]
-    surface. The router listens like a single {!Server} (same
-    {!Protocol}, both codecs, per-connection response ordering) but
-    owns no index: behind it, N shard processes each serve the full
-    index over TCP, and the router turns one [completeness] request
-    into N [partial-completeness] requests — one contiguous package
-    range per shard, the exact {!Query.shard_ranges} partition — and
-    merges the partial sums in range order over the shared
-    denominator. That is the same float regrouping
+    surface. The router listens through the same {!Front} as a single
+    {!Server} (same {!Protocol}, both codecs, per-connection response
+    ordering, graceful drain), with worker threads for the IO-bound
+    gather work, but owns no index: behind it, N shard processes each
+    serve the full index over TCP, and the router turns one
+    [completeness] request into N [partial-completeness] requests —
+    one contiguous package range per shard, the exact
+    {!Query.shard_ranges} partition — and merges the partial sums in
+    range order over the shared denominator. That is the same float regrouping
     {!Query.eval_syscalls_sharded} performs in-process, so a routed
     answer is within accumulation noise ([<= 1e-12] in the test
     suite) of a single-process one; every shard's denominator is
@@ -46,11 +47,11 @@
     surface.
 
     {b Admission control.} The router's job queue is bounded and
-    {e shedding}: when it is full, new requests are answered
-    immediately with an ["overloaded"] error (in order, through the
-    per-connection resequencer) instead of queueing unboundedly —
-    under saturation the router degrades by refusing crisply, not by
-    growing latency without bound.
+    {e shedding} ({!Front.Shed}): when it is full, new requests are
+    answered immediately with an ["overloaded"] error (in order,
+    through the per-connection resequencer) instead of queueing
+    unboundedly — under saturation the router degrades by refusing
+    crisply, not by growing latency without bound.
 
     {b Degradation.} Shard connections are pipelined and correlated
     by router-assigned ids, with a receive timeout so a stalled shard

@@ -2,29 +2,19 @@
     [lapis serve --tcp PORT] surface, and the process behind each
     shard of a [lapis fleet].
 
-    The wire protocol is {!Protocol}, in either codec: a connection's
-    first byte routes it — [0xB1] means length-prefixed binary frames
-    (the router↔shard codec), anything else means line-delimited JSON
-    (the human/client codec, byte-compatible with the stdin loop of
-    {!Serve}). Malformed input produces an error response, never a
-    dropped connection; an unframeable binary stream answers one
-    error frame and stops reading (binary framing cannot be
-    resynchronized). On top of that, the server multiplexes any
-    number of clients:
+    Connections — accept, codec sniffing ([0xB1] binary frames, else
+    JSON lines byte-compatible with the stdin loop of {!Serve}),
+    per-connection response order, graceful drain — are the {!Front}'s.
+    The server runs it with:
 
-    - an accept loop hands each connection to a lightweight reader
-      thread that only parses line/frame boundaries and enqueues jobs,
-      so an idle or slow client never occupies a worker;
-    - a fixed pool of worker {e domains} drains a bounded job queue and
-      evaluates queries in parallel against the shared immutable
-      {!Query.t} (evaluation allocates per-call scratch only, so no
-      locking on the index);
-    - responses are re-sequenced per connection before writing, so each
-      client sees answers in the order it sent requests even though
-      the pool completes them out of order;
-    - one shared {!Lru} cache memoizes typed results across all
-      clients and both codecs ({!Protocol.canonical_key} is
-      codec-independent).
+    - a pool of worker {e domains} that evaluate queries in parallel
+      against the shared immutable {!Query.t} (evaluation allocates
+      per-call scratch only, so no locking on the index);
+    - a blocking queue: when it fills, readers wait — back-pressure
+      toward the sockets;
+    - {!Serve.handle_request} as the handler, with one shared {!Lru}
+      cache memoizing typed results across all clients and both codecs
+      ({!Protocol.canonical_key} is codec-independent).
 
     The [stats] op answers with live gauges — queue depth and bound,
     connections, epoch id, cache entries/hits/misses — plus the
@@ -32,9 +22,8 @@
     registry; this is the observability surface the fleet router
     scrapes.
 
-    Shutdown ({!stop} or SIGINT wired by the CLI) is graceful: stop
-    accepting, half-close every connection so readers drain what was
-    already sent, finish every queued job, flush, join.
+    Shutdown ({!stop} or SIGINT wired by the CLI) is the front's
+    graceful drain: every request already sent is answered.
 
     {b Hot reload.} The index and the response cache live together in
     an {e epoch} behind an atomic pointer. {!reload} installs a new

@@ -26,15 +26,14 @@
     over that dictionary: one bit per dictionary entry instead of a
     re-serialized API per element. The dictionary order is a pure
     function of the rows, so decode → re-encode reproduces the file
-    byte for byte. Format 1 files (element-wise sets) still load.
+    byte for byte.
 
-    Format 3 appends the {b temporal attribution} to every row: the
+    Every row also carries its {b temporal attribution}: the
     init-phase and serving-phase API sets of each package
     ([pr_init]/[pr_serving]) and binary ([br_init]/[br_serving]),
-    encoded as dictionary bitsets like every other set. Format 1 and
-    2 files still load, with both phases defaulting to the row's full
-    footprint — the correct conservative reading for a snapshot that
-    predates the phase analysis.
+    encoded as dictionary bitsets like every other set. Only the
+    formats this build writes — row format 6 and delta format 5 —
+    load; older row formats (1–3) read as [Unsupported_version].
 
     Decoding never raises: stale, truncated or corrupted files come
     back as a structured {!error}, following the taxonomy discipline
@@ -52,14 +51,14 @@ module Classify = Lapis_elf.Classify
 let magic = "LAPISNAP"
 
 (* The version line shares one numbering space with the sibling
-   formats: versions 1-3 and 6 are row snapshots decoded here (6 adds
-   the evolution release to the metadata), version 4 is the query
-   engine's mmap-able index image, version 5 is a delta snapshot that
-   can only be decoded against its base (see [apply_delta]). *)
+   formats: version 6 is the row snapshot decoded here, version 4 is
+   the query engine's mmap-able index image, version 5 is a delta
+   snapshot that can only be decoded against its base (see
+   [apply_delta]). Versions 1-3 were earlier row formats; this build
+   no longer writes or reads them. *)
 let format_version = 6
 let delta_version = 5
 let image_version = 4  (* owned by the query engine's mapped loader *)
-let min_version = 1  (* oldest row format this build still reads *)
 let header_len = 8 + 4 + 16 + 8
 
 type meta = {
@@ -224,9 +223,8 @@ let w_api b = function
     w_str b name
 
 (* A set written element-wise: its count, then each element in
-   [Api.Set] order. This is the format-1 wire form and the delta's row
-   identity: equal sets give equal bytes whatever the shape of their
-   balanced trees. *)
+   [Api.Set] order. This is the delta's row identity: equal sets give
+   equal bytes whatever the shape of their balanced trees. *)
 let w_api_set_elems b set =
   w_varint b (Api.Set.cardinal set);
   Api.Set.iter (w_api b) set
@@ -467,14 +465,8 @@ let r_api c =
   | 3 -> Api.Libc_sym (r_str c "api.libc")
   | t -> raise (Fail (Corrupt (Printf.sprintf "unknown api tag %d" t)))
 
-(* Format 1 sets: element-wise. *)
-let r_api_set c =
-  let n = r_varint c "api-set" in
-  let rec go acc k = if k = 0 then acc else go (Api.Set.add (r_api c) acc) (k - 1) in
-  go Api.Set.empty n
-
-(* Format 2 sets: a bitset over the dictionary read earlier. *)
-let r_api_set_packed (dict : Api.t array) c =
+(* A set is a bitset over the dictionary read earlier. *)
+let r_api_set (dict : Api.t array) c =
   let bytes = r_str c "api-set.bits" in
   match Lapis_perf.Bitset.of_bytes (Array.length dict) bytes with
   | Error msg -> raise (Fail (Corrupt ("api-set bitset: " ^ msg)))
@@ -513,9 +505,7 @@ let r_class c =
   | 4 -> Classify.Data
   | t -> raise (Fail (Corrupt (Printf.sprintf "unknown class tag %d" t)))
 
-(* Pre-format-3 rows carry no temporal attribution: both phases
-   default to the row's full footprint, the conservative reading. *)
-let r_pkg_row ~phased read_set c : Store.pkg_row =
+let r_pkg_row read_set c : Store.pkg_row =
   let pr_name = r_str c "pkg.name" in
   let pr_installs = r_int c "pkg.installs" in
   let pr_prob = r_float c "pkg.prob" in
@@ -523,29 +513,25 @@ let r_pkg_row ~phased read_set c : Store.pkg_row =
   let pr_essential = r_bool c "pkg.essential" in
   let pr_apis = read_set c in
   let pr_apis_elf = read_set c in
-  let pr_init = if phased then read_set c else pr_apis in
-  let pr_serving = if phased then read_set c else pr_apis in
+  let pr_init = read_set c in
+  let pr_serving = read_set c in
   { Store.pr_name; pr_installs; pr_prob; pr_deps; pr_essential; pr_apis;
     pr_apis_elf; pr_init; pr_serving }
 
-let r_bin_row ~phased read_set c : Store.bin_row =
+let r_bin_row read_set c : Store.bin_row =
   let br_path = r_str c "bin.path" in
   let br_package = r_str c "bin.package" in
   let br_class = r_class c in
   let br_digest = r_digest c "bin.digest" in
   let br_direct = r_footprint read_set c in
   let br_resolved = r_footprint read_set c in
-  let br_init =
-    if phased then read_set c else br_resolved.Footprint.apis
-  in
-  let br_serving =
-    if phased then read_set c else br_resolved.Footprint.apis
-  in
+  let br_init = read_set c in
+  let br_serving = read_set c in
   { Store.br_path; br_package; br_class; br_digest; br_direct; br_resolved;
     br_init; br_serving }
 
-(* Validate the framing shared by every version — magic, version
-   range, payload digest — and hand back a cursor over the payload.
+(* Validate the framing shared by the row and delta formats — magic,
+   version, payload digest — and hand back a cursor over the payload.
    Raises [Fail]; callers route on the returned version. *)
 let open_payload (s : string) : cursor * int =
   (* judge the magic on whatever prefix is present, so data from a
@@ -560,9 +546,8 @@ let open_payload (s : string) : cursor * int =
   (* index images share the magic but not this header layout, so they
      must be refused on the version alone — reading our digest/length
      fields from one would misreport the damage *)
-  if version < min_version || version > format_version
-     || version = image_version
-  then raise (Fail (Unsupported_version version));
+  if version <> format_version && version <> delta_version then
+    raise (Fail (Unsupported_version version));
   let stored_digest = String.sub s 12 16 in
   let payload_len = Int64.to_int (String.get_int64_le s 28) in
   if payload_len < 0 || header_len + payload_len > String.length s then
@@ -581,20 +566,18 @@ type r_meta = {
   rm_release : int;
 }
 
-let r_meta ~version c =
+let r_meta c =
   let rm_seed = r_int c "meta.seed" in
   let rm_n_packages = r_int c "meta.n-packages" in
   let rm_total_installs = r_int c "meta.total-installs" in
   let rm_source_key = r_str c "meta.source-key" in
-  (* pre-format-6 files predate the living-distribution work, so the
-     only release they can hold is 0 — the correct default *)
-  let rm_release = if version >= 5 then r_int c "meta.release" else 0 in
+  let rm_release = r_int c "meta.release" in
   { rm_seed; rm_n_packages; rm_total_installs; rm_source_key; rm_release }
 
 let of_string (s : string) : (t, error) result =
   try
     let c, version = open_payload s in
-    let m = r_meta ~version c in
+    let m = r_meta c in
     if version = delta_version then
       (* a delta cannot be decoded standalone: report which base it
          wants so the caller can fetch it *)
@@ -603,18 +586,10 @@ let of_string (s : string) : (t, error) result =
     let n_packages = m.rm_n_packages in
     let total_installs = m.rm_total_installs in
     let skey = m.rm_source_key in
-    let read_set =
-      if version >= 2 then begin
-        let dict =
-          Array.of_list (r_list c r_api "api-dictionary")
-        in
-        r_api_set_packed dict
-      end
-      else r_api_set
-    in
-    let phased = version >= 3 in
-    let packages = r_list c (r_pkg_row ~phased read_set) "packages" in
-    let bins = r_list c (r_bin_row ~phased read_set) "binaries" in
+    let dict = Array.of_list (r_list c r_api "api-dictionary") in
+    let read_set = r_api_set dict in
+    let packages = r_list c (r_pkg_row read_set) "packages" in
+    let bins = r_list c (r_bin_row read_set) "binaries" in
     let rejects =
       r_list c
         (fun c ->
@@ -730,13 +705,13 @@ let apply_delta ~(base : t) (s : string) : (t, error) result =
     let c, version = open_payload s in
     if version <> delta_version then
       raise (Fail (Unsupported_version version));
-    let m = r_meta ~version c in
+    let m = r_meta c in
     let want = r_digest c "delta.base-digest" in
     let have = Digest.string (to_string base) in
     if want <> have then
       raise (Fail (Base_mismatch (Digest.to_hex want, Digest.to_hex have)));
     let dict = Array.of_list (r_list c r_api "delta.api-dictionary") in
-    let read_set = r_api_set_packed dict in
+    let read_set = r_api_set dict in
     let base_pkgs = base.store.Store.packages in
     let base_bins = Array.of_list base.store.Store.bins in
     let r_instr arr r_new what c =
@@ -757,12 +732,12 @@ let apply_delta ~(base : t) (s : string) : (t, error) result =
     in
     let packages =
       r_list c
-        (r_instr base_pkgs (r_pkg_row ~phased:true read_set) "delta.pkg")
+        (r_instr base_pkgs (r_pkg_row read_set) "delta.pkg")
         "delta.packages"
     in
     let bins =
       r_list c
-        (r_instr base_bins (r_bin_row ~phased:true read_set) "delta.bin")
+        (r_instr base_bins (r_bin_row read_set) "delta.bin")
         "delta.binaries"
     in
     let rejects =

@@ -26,7 +26,9 @@ val magic : string
 
 val format_version : int
 (** Version written for full row snapshots (currently 6, which adds
-    the evolution release to the metadata; versions 1–3 still load). *)
+    the evolution release to the metadata). It is the only row format
+    this build reads: versions 1–3 come back as
+    [Unsupported_version]. *)
 
 val delta_version : int
 (** Version of delta snapshots (5): decodable only against the base
@@ -144,7 +146,7 @@ val load_delta : string -> base:t -> (t, error) result
 
 val file_version : string -> (int, error) result
 (** Read just the magic and version word of a file — the router that
-    distinguishes decode-and-build row snapshots (versions 1–3, 6)
+    distinguishes decode-and-build row snapshots (version 6)
     from format-4 index images (loaded by the query engine's mapped
     loader) and format-5 deltas (decoded by {!apply_delta} against
     their base). *)

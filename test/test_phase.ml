@@ -1,9 +1,8 @@
 (* Tests for temporal phase attribution: calibration against the
    generator's planted init/serving ground truth, the union invariant
    that keeps unphased results bit-identical, phase-filtered
-   completeness monotonicity, and the snapshot format-3 phase fields
-   (round-trip, plus format-2 inputs defaulting both phases to the
-   full footprint). *)
+   completeness monotonicity, and the snapshot phase fields
+   (round-trip, plus the refusal of a pre-phase format-2 file). *)
 
 module Api = Core.Apidb.Api
 module Store = Core.Db.Store
@@ -143,12 +142,12 @@ let test_snapshot_phase_roundtrip () =
      everything-in-both-phases encoding *)
   Alcotest.(check bool) "some phased packages survive" true (!phased > 0)
 
-(* --- snapshot format 2: phases default to Both ------------------------- *)
+(* --- snapshot format 2: refused ----------------------------------------- *)
 
 (* A hand-rolled format-2 writer for a tiny store, mirroring the v2
    wire layout (same as v3 minus the two phase sets per package/binary
-   row). The current writer only emits format 3, so backward
-   compatibility has to be exercised against synthesized v2 bytes. *)
+   row). The current writer only emits format 6, so the treatment of
+   an old file has to be exercised against synthesized v2 bytes. *)
 let v2_bytes ~apis ~elf_apis =
   let b = Buffer.create 256 in
   let w_varint n =
@@ -226,23 +225,18 @@ let v2_bytes ~apis ~elf_apis =
   Buffer.add_string out payload;
   Buffer.contents out
 
-let test_snapshot_v2_defaults_both () =
+let test_snapshot_v2_refused () =
+  (* a well-formed pre-phase file: its rows carry no attribution, and
+     this build reads only the formats it writes, so it must come back
+     as the structured version error — not as a decode of the wrong
+     layout *)
   let apis = [ Api.Syscall 0; Api.Syscall 1; Api.Syscall 60 ] in
   let bytes = v2_bytes ~apis ~elf_apis:[ Api.Syscall 0 ] in
   match Snapshot.of_string bytes with
+  | Ok _ -> Alcotest.fail "format-2 file decoded"
+  | Error (Snapshot.Unsupported_version v) ->
+    Alcotest.(check int) "reported version" 2 v
   | Error e -> Alcotest.failf "v2 decode: %a" Snapshot.pp_error e
-  | Ok snap ->
-    Alcotest.(check int) "version preserved" 2
-      snap.Snapshot.meta.Snapshot.version;
-    let p = snap.Snapshot.store.Store.packages.(0) in
-    Alcotest.(check int) "footprint size" 3
-      (Api.Set.cardinal p.Store.pr_apis);
-    (* pre-phase rows know nothing about time: both phases default to
-       the full footprint, i.e. every API is Both *)
-    Alcotest.(check bool) "init defaults to footprint" true
-      (Api.Set.equal p.Store.pr_init p.Store.pr_apis);
-    Alcotest.(check bool) "serving defaults to footprint" true
-      (Api.Set.equal p.Store.pr_serving p.Store.pr_apis)
 
 let () =
   Alcotest.run "phase"
@@ -259,6 +253,6 @@ let () =
       ( "snapshot",
         [ Alcotest.test_case "format-3 round-trip" `Quick
             test_snapshot_phase_roundtrip;
-          Alcotest.test_case "format-2 defaults to Both" `Quick
-            test_snapshot_v2_defaults_both ] )
+          Alcotest.test_case "format-2 is refused" `Quick
+            test_snapshot_v2_refused ] )
     ]

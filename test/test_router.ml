@@ -308,6 +308,54 @@ let test_overload_sheds_structured () =
         Alcotest.fail "burst never tripped admission control";
       if !shed = n then Alcotest.fail "every request was shed")
 
+let test_graceful_stop () =
+  (* stop must flush work already in flight through the shards: pipeline
+     a burst of scatter, forwarded and local requests on one
+     connection, stop from another thread while the client is still
+     reading, and every request gets its answer, in send order. One
+     gather thread keeps much of the burst queued past the accept
+     loop's poll interval, when the drain starts; the burst stays under
+     the queue bound, so nothing is shed. *)
+  let n = 2000 in
+  with_fleet ~n:2
+    ~config:{ Router.default with workers = 1; queue_bound = n }
+    (fun router _ ->
+      let _, ic, oc = connect (Router.port router) in
+      for i = 0 to n - 1 do
+        let line =
+          match i mod 3 with
+          | 0 ->
+            Printf.sprintf
+              {|{"op":"completeness","syscalls":[0,1,2,%d],"id":%d}|}
+              (3 + i) i
+          | 1 -> Printf.sprintf {|{"op":"importance","api":"read","id":%d}|} i
+          | _ -> Printf.sprintf {|{"op":"ping","id":%d}|} i
+        in
+        output_string oc line;
+        output_char oc '\n'
+      done;
+      flush oc;
+      let stopper = Thread.create (fun () -> Router.stop router) () in
+      let got = ref 0 in
+      (try
+         while !got < n do
+           let r = parse_exn (input_line ic) in
+           Alcotest.(check int)
+             "ordered during shutdown" !got
+             (int_of_float (num "id" r));
+           if not (is_ok r) then
+             Alcotest.failf "request %d failed during shutdown: %s" !got
+               (Json.to_string r);
+           incr got
+         done
+       with End_of_file -> ());
+      Thread.join stopper;
+      Alcotest.(check int) "every request answered" n !got;
+      (* idempotent: a second stop and a wait both return at once *)
+      Router.stop router;
+      Router.wait router;
+      close_in_noerr ic)
+
 (* --- sliced fleet ----------------------------------------------------- *)
 
 (* A shard serving a range-sliced image: the slice is cut with
@@ -554,7 +602,8 @@ let () =
             test_shard_down_structured;
           Alcotest.test_case "all shards down" `Quick test_all_shards_down;
           Alcotest.test_case "overload sheds" `Quick
-            test_overload_sheds_structured ] );
+            test_overload_sheds_structured;
+          Alcotest.test_case "graceful stop" `Quick test_graceful_stop ] );
       ( "sliced",
         [ Alcotest.test_case "sliced fleet matches single-process" `Quick
             test_sliced_fleet_matches_single_process ] );

@@ -230,11 +230,15 @@ let test_corruption_cases () =
           "truncated"
           (String.sub bytes 0 keep))
     [ 36; 37; 40; n / 2; n - 1 ];
-  (* future format version *)
-  let future = Bytes.of_string bytes in
-  Bytes.set_int32_le future 8 99l;
-  check_error "future version" "unsupported-version"
-    (Bytes.to_string future);
+  (* future format version, and the retired row formats 1-3 *)
+  List.iter
+    (fun v ->
+      let future = Bytes.of_string bytes in
+      Bytes.set_int32_le future 8 v;
+      check_error
+        (Printf.sprintf "version %ld" v)
+        "unsupported-version" (Bytes.to_string future))
+    [ 99l; 1l; 2l; 3l ];
   (* flipped payload byte is caught by the digest *)
   let flipped = Bytes.of_string bytes in
   let i = 36 + ((n - 36) / 2) in
